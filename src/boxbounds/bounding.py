@@ -29,9 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleBoundsError, InputError
-from .geometry import Box, meet_vertices, require_same_dimension
+from .geometry import Box, EmptinessMode, meet_vertices, require_same_dimension
 from .measure import ProductMeasure
-from .screening import MomentVector
+from .screening import MomentVector, _pair_pass
 
 PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 200_000
@@ -514,12 +514,23 @@ def hunter_worsley_upper(
 def pairwise_probabilities(
     boxes: Sequence[Box], measure: ProductMeasure
 ) -> dict[tuple[int, int], float]:
-    """P(A_i A_j) for every index pair i < j."""
-    require_same_dimension(boxes)
-    out = {}
-    for i, j in combinations(range(len(boxes)), 2):
-        lower, upper = meet_vertices([boxes[i], boxes[j]])
-        out[(i, j)] = measure.rect_probability(lower, upper)
+    """P(A_i A_j) for every index pair i < j.
+
+    Pairs failing the positive-measure vertex test carry probability
+    exactly 0.0, so only the survivors are evaluated.
+    """
+    dim = require_same_dimension(boxes)
+    if boxes and dim != measure.dimension:
+        raise InputError(f"boxes have dimension {dim}, measure has {measure.dimension}")
+    out = dict.fromkeys(combinations(range(len(boxes)), 2), 0.0)
+    for i, lower, upper, positive in _pair_pass(boxes, EmptinessMode.POSITIVE_MEASURE):
+        survivors = zip(
+            (np.flatnonzero(positive) + (i + 1)).tolist(),
+            lower[positive].tolist(),
+            upper[positive].tolist(),
+        )
+        for j, lo, hi in survivors:
+            out[(i, j)] = measure.rect_probability(lo, hi)
     return out
 
 

@@ -225,62 +225,68 @@ def _cmd_screen(args):
     graph = build_graph(boxes, mode)
     ledger = enumerate_tuples(boxes, graph, mode, n, measure=problem.measure)
 
-    orders_json = {}
+    # (order, [(label, indices, lower, upper, nonempty), ...]) per listed order
     sections = []
     if n >= 2 and max_order >= 2:
         rows = pair_verdicts(boxes, mode)
-        orders_json["2"] = [
-            {
-                "label": row.label,
-                "ids": [boxes[i].id for i in row.indices],
-                "lower": list(row.lower),
-                "upper": list(row.upper),
-                "nonempty": row.nonempty,
-            }
-            for row in rows
-        ]
         sections.append(
-            (2, [(f"{row.label} = {_fmt_box(row.lower, row.upper)}", row.nonempty) for row in rows])
+            (2, [(r.label, r.indices, r.lower, r.upper, r.nonempty) for r in rows])
         )
     for k in sorted(ledger.orders):
         if k < 3 or k > max_order:
             continue
-        entries = ledger.entries(k)
-        orders_json[str(k)] = [
-            {
-                "label": entry.box.id,
-                "ids": [boxes[i].id for i in entry.indices],
-                "lower": list(entry.box.lower),
-                "upper": list(entry.box.upper),
-                "nonempty": True,
-            }
-            for entry in entries
-        ]
         sections.append(
-            (k, [(f"{e.box.id} = {_fmt_box(e.box.lower, e.box.upper)}", True) for e in entries])
+            (
+                k,
+                [
+                    (e.box.id, e.indices, e.box.lower, e.box.upper, True)
+                    for e in ledger.entries(k)
+                ],
+            )
         )
 
     terms_used = ledger.term_count()
     terms_full = 2**n - 1
-    doc = {
-        "version": JSON_VERSION,
-        "command": "screen",
-        "mode": mode.value,
-        "n_events": n,
-        "orders": orders_json,
-        "terms_used": terms_used,
-        "terms_full": terms_full,
-    }
+    # Only the printed document is built: rendering every pair row of a
+    # few hundred boxes takes tens of milliseconds in either format.
+    if args.format == "json":
+        orders_json = {
+            str(k): [
+                {
+                    "label": label,
+                    "ids": [boxes[i].id for i in indices],
+                    "lower": list(lower),
+                    "upper": list(upper),
+                    "nonempty": nonempty,
+                }
+                for label, indices, lower, upper, nonempty in rows
+            ]
+            for k, rows in sections
+        }
+        doc = {
+            "version": JSON_VERSION,
+            "command": "screen",
+            "mode": mode.value,
+            "n_events": n,
+            "orders": orders_json,
+            "terms_used": terms_used,
+            "terms_full": terms_full,
+        }
+        return doc, None
 
     lines = []
     for k, rows in sections:
-        width = max(len(text) for text, _ in rows)
+        cells = [
+            (f"{label} = {_fmt_box(lower, upper)}", nonempty)
+            for label, _, lower, upper, nonempty in rows
+        ]
+        width = max(len(text) for text, _ in cells)
         lines.append(f"{_order_name(k).ljust(width)}  nonempty?")
-        for text, verdict in rows:
-            lines.append(f"{text.ljust(width)}  {'yes' if verdict else 'no good'}")
+        for text, nonempty in cells:
+            lines.append(f"{text.ljust(width)}  {'yes' if nonempty else 'no good'}")
         lines.append("")
     lines.append(f"retained {terms_used} of {terms_full} inclusion-exclusion terms")
-    return doc, "\n".join(lines)
+    return None, "\n".join(lines)
 
 
 def _cmd_union(args):
@@ -548,9 +554,9 @@ def run(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
 
-    out_format = args.format or os.environ.get(FORMAT_ENV_VAR) or "table"
-    if out_format not in ("json", "table"):
-        print(f"error: unknown output format {out_format!r}", file=sys.stderr)
+    args.format = args.format or os.environ.get(FORMAT_ENV_VAR) or "table"
+    if args.format not in ("json", "table"):
+        print(f"error: unknown output format {args.format!r}", file=sys.stderr)
         return 1
 
     try:
@@ -562,7 +568,7 @@ def run(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    print(json.dumps(doc, indent=2) if out_format == "json" else table)
+    print(json.dumps(doc, indent=2) if args.format == "json" else table)
     return 0
 
 

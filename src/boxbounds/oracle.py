@@ -161,6 +161,8 @@ def monte_carlo_union(
     Points come from per-coordinate inverse transform over a PCG64 stream
     (numpy default_rng), so a fixed seed reproduces the estimate exactly
     across platforms.  standard_error is sqrt(est (1 - est) / samples).
+    Points are tested box by box into one hit mask per chunk, so working
+    memory is O(chunk * d) whatever the number of boxes.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -168,18 +170,19 @@ def monte_carlo_union(
     if not boxes:
         return MonteCarloResult(0.0, 0.0)
     rng = np.random.default_rng(seed)
-    lowers = np.array([box.lower for box in boxes])
-    uppers = np.array([box.upper for box in boxes])
     hits = 0
     remaining = samples
     while remaining:
         size = min(remaining, _MC_CHUNK)
-        points = measure.sample(rng, size)
-        inside = np.logical_and(
-            points[:, None, :] >= lowers[None, :, :],
-            points[:, None, :] <= uppers[None, :, :],
-        ).all(axis=2)
-        hits += int(inside.any(axis=1).sum())
+        columns = np.ascontiguousarray(measure.sample(rng, size).T)
+        hit = np.zeros(size, dtype=bool)
+        for box in boxes:
+            inside = np.ones(size, dtype=bool)
+            for column, lo, hi in zip(columns, box.lower, box.upper):
+                inside &= column >= lo
+                inside &= column <= hi
+            hit |= inside
+        hits += int(hit.sum())
         remaining -= size
     estimate = hits / samples
     return MonteCarloResult(estimate, sqrt(estimate * (1.0 - estimate) / samples))

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InputError
 from .geometry import (
     Box,
     EmptinessMode,
-    meet_vertices,
     require_same_dimension,
     vertex_pair_nonempty,
 )
@@ -142,32 +143,52 @@ class TupleVerdict:
     nonempty: bool
 
 
+def _pair_pass(boxes: Sequence[Box], mode: EmptinessMode):
+    """Meet vertices and verdicts of every index pair, one row i at a time.
+
+    Yields ``(i, lower, upper, nonempty)`` where row k of the
+    ``(N-1-i, d)`` arrays ``lower``/``upper`` holds the candidate
+    intersection vertices of boxes i and i+1+k, and ``nonempty`` is the
+    vertex test per row.  Values equal those of meet_vertices: the vertex
+    is picked with the comparison Python's max/min make (the later box
+    only when strictly larger/smaller), so ties between 0.0 and -0.0 keep
+    the sign meet_vertices keeps, which np.maximum does not promise.
+    """
+    require_same_dimension(boxes)
+    lowers = np.array([box.lower for box in boxes], dtype=float)
+    uppers = np.array([box.upper for box in boxes], dtype=float)
+    test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
+    for i in range(len(boxes) - 1):
+        rest_lower = lowers[i + 1 :]
+        rest_upper = uppers[i + 1 :]
+        lower = np.where(rest_lower > lowers[i], rest_lower, lowers[i])
+        upper = np.where(rest_upper < uppers[i], rest_upper, uppers[i])
+        yield i, lower, upper, test(lower, upper).all(axis=1)
+
+
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    require_same_dimension(boxes)
-    edges = set()
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            lower, upper = meet_vertices([boxes[i], boxes[j]])
-            if vertex_pair_nonempty(lower, upper, mode):
-                edges.add((i, j))
+    edges = []
+    for i, _, _, nonempty in _pair_pass(boxes, mode):
+        edges.extend((i, j) for j in (np.flatnonzero(nonempty) + (i + 1)).tolist())
     return IntersectionGraph(len(boxes), frozenset(edges))
 
 
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
     """One row per index pair, in lexicographic order, including failures."""
-    require_same_dimension(boxes)
     rows = []
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            lower, upper = meet_vertices([boxes[i], boxes[j]])
+    for i, lower, upper, nonempty in _pair_pass(boxes, mode):
+        first = boxes[i].id
+        for j, lo, hi, verdict in zip(
+            range(i + 1, len(boxes)), lower.tolist(), upper.tolist(), nonempty.tolist()
+        ):
             rows.append(
                 TupleVerdict(
                     indices=(i, j),
-                    label=boxes[i].id + boxes[j].id,
-                    lower=lower,
-                    upper=upper,
-                    nonempty=vertex_pair_nonempty(lower, upper, mode),
+                    label=first + boxes[j].id,
+                    lower=tuple(lo),
+                    upper=tuple(hi),
+                    nonempty=verdict,
                 )
             )
     return rows

@@ -1,10 +1,13 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
-from boxbounds.measure import ProductMeasure
+from boxbounds.measure import PiecewiseCdf, ProductMeasure
 from boxbounds.oracle import (
+    _MC_CHUNK,
     CountDistribution,
     exact_count_distribution,
     full_inclusion_exclusion_union,
@@ -145,3 +148,40 @@ def test_monte_carlo_seed_changes_stream(ex2):
     a = monte_carlo_union(*ex2, samples=50_000, seed=1)
     b = monte_carlo_union(*ex2, samples=50_000, seed=2)
     assert a.estimate != b.estimate
+
+
+def broadcast_monte_carlo(boxes, measure, samples, seed):
+    """Reference estimator testing each chunk against all boxes at once
+    through (chunk, N, d) broadcast temporaries."""
+    rng = np.random.default_rng(seed)
+    lowers = np.array([box.lower for box in boxes])
+    uppers = np.array([box.upper for box in boxes])
+    hits = 0
+    remaining = samples
+    while remaining:
+        size = min(remaining, _MC_CHUNK)
+        points = measure.sample(rng, size)
+        inside = np.logical_and(
+            points[:, None, :] >= lowers[None, :, :],
+            points[:, None, :] <= uppers[None, :, :],
+        ).all(axis=2)
+        hits += int(inside.any(axis=1).sum())
+        remaining -= size
+    estimate = hits / samples
+    return estimate, sqrt(estimate * (1.0 - estimate) / samples)
+
+
+@pytest.mark.parametrize("samples", [_MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 7])
+def test_monte_carlo_matches_broadcast_reference(ex2, samples):
+    rng = np.random.default_rng(211)
+    piecewise = PiecewiseCdf((0.0, 2.0, 3.0, 6.0), (0.0, 0.2, 0.7, 1.0))
+    grid_boxes, _ = random_instance(rng, max_events=8, min_events=6, max_dim=2)
+    cases = [
+        ex2,
+        (grid_boxes, ProductMeasure((piecewise,) * grid_boxes[0].dimension)),
+    ]
+    for seed, (boxes, measure) in enumerate(cases):
+        result = monte_carlo_union(boxes, measure, samples, seed)
+        estimate, standard_error = broadcast_monte_carlo(boxes, measure, samples, seed)
+        assert result.estimate == estimate
+        assert result.standard_error == standard_error

@@ -1,11 +1,15 @@
-from math import fsum
+from itertools import combinations
+from math import fsum, inf
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from boxbounds.bounding import pairwise_probabilities
 from boxbounds.errors import InputError
-from boxbounds.geometry import Box, EmptinessMode, meet_vertices
-from boxbounds.measure import ProductMeasure
+from boxbounds.geometry import Box, EmptinessMode, meet_vertices, vertex_pair_nonempty
+from boxbounds.measure import PiecewiseCdf, ProductMeasure
 from boxbounds.oracle import full_inclusion_exclusion_union
 from boxbounds.screening import (
     IntersectionGraph,
@@ -290,3 +294,68 @@ def test_order_sums_match_manual_totals(ex1):
     )
     assert ledger.order_sum(2) == pytest.approx(s2, abs=1e-15)
     assert ledger.order_sum(1) == pytest.approx(1.11, abs=1e-12)
+
+
+# Grid coordinates: touching faces, zero widths, signed zeros and infinities.
+PAIR_COORDS = st.sampled_from([-inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, inf])
+
+
+@st.composite
+def box_lists(draw):
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for i in range(draw(st.integers(0, 6))):
+        a = draw(st.lists(PAIR_COORDS, min_size=dim, max_size=dim))
+        b = draw(st.lists(PAIR_COORDS, min_size=dim, max_size=dim))
+        boxes.append(Box(f"B{i}", tuple(map(min, a, b)), tuple(map(max, a, b))))
+    return boxes
+
+
+def _pair_measure(dim):
+    cdf = PiecewiseCdf((-1.0, 0.5, 2.0), (0.0, 0.3, 1.0))
+    return ProductMeasure((cdf,) * dim)
+
+
+@given(box_lists(), st.sampled_from(list(EmptinessMode)))
+@settings(max_examples=300, deadline=None)
+@example([], CLOSED)
+@example([Box("A", (0.0,), (1.0,))], STRICT)
+@example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], CLOSED)
+@example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], STRICT)
+@example([Box("A", (0.5, 0.0), (0.5, 1.0)), Box("B", (0.0, 0.0), (1.0, 1.0))], CLOSED)
+@example([Box("A", (-inf, 0.0), (0.5, inf)), Box("B", (-0.0, -inf), (inf, 0.0))], CLOSED)
+def test_pair_pass_matches_meet_vertices(boxes, mode):
+    reference = [
+        ((i, j), *meet_vertices([boxes[i], boxes[j]]))
+        for i, j in combinations(range(len(boxes)), 2)
+    ]
+
+    graph = build_graph(boxes, mode)
+    assert graph.edges == {
+        pair for pair, lower, upper in reference if vertex_pair_nonempty(lower, upper, mode)
+    }
+    assert all(type(v) is int for edge in graph.edges for v in edge)
+
+    rows = pair_verdicts(boxes, mode)
+    # repr tells 0.0 from -0.0, which == does not
+    assert [(r.indices, r.label, repr(r.lower), repr(r.upper), r.nonempty) for r in rows] == [
+        (
+            pair,
+            boxes[pair[0]].id + boxes[pair[1]].id,
+            repr(lower),
+            repr(upper),
+            vertex_pair_nonempty(lower, upper, mode),
+        )
+        for pair, lower, upper in reference
+    ]
+    for row in rows:
+        assert all(type(i) is int for i in row.indices)
+        assert all(type(v) is float for v in row.lower + row.upper)
+        assert type(row.nonempty) is bool
+
+    if boxes:
+        measure = _pair_measure(boxes[0].dimension)
+        pairwise = pairwise_probabilities(boxes, measure)
+        expected = {pair: measure.rect_probability(lower, upper) for pair, lower, upper in reference}
+        assert list(pairwise.items()) == list(expected.items())
+        assert all(type(p) is float for p in pairwise.values())
