@@ -478,36 +478,42 @@ def hunter_worsley_upper(
     """
     if n_events < 0:
         raise InputError("event count must be nonnegative")
-    weight = [[0.0] * n_events for _ in range(n_events)]
-    seen: set[tuple[int, int]] = set()
+    weights: dict[tuple[int, int], float] = {}
     for key, value in pairwise.items():
         i, j = (int(key[0]), int(key[1]))
         if i == j or not (0 <= i < n_events and 0 <= j < n_events):
             raise InputError(f"bad pair key {key!r}")
         if not -1e-12 <= value <= 1.0 + 1e-12:
             raise InputError(f"pairwise probability {value} is not in [0, 1]")
-        pair = (min(i, j), max(i, j))
-        if pair in seen and abs(weight[i][j] - value) > 1e-12:
+        pair = (i, j) if i < j else (j, i)
+        if pair in weights and abs(weights[pair] - value) > 1e-12:
             raise InputError(f"conflicting values for pair {pair}")
-        seen.add(pair)
-        weight[i][j] = weight[j][i] = float(value)
+        weights[pair] = float(value)
     if n_events <= 1:
         return float(s1)
 
-    in_tree = [False] * n_events
+    # Zero weights (signed or not) change neither a comparison nor the total.
+    links = [(pair, w) for pair, w in weights.items() if w]
+    weight = np.zeros((n_events, n_events))
+    if links:
+        pairs, values = zip(*links)
+        rows, cols = np.array(pairs).T
+        weight[rows, cols] = weight[cols, rows] = values
+
+    # Prim's algorithm; tree vertices hold -inf in best, so argmax picks the
+    # heaviest link to the tree, the lowest index among equal weights.
+    in_tree = np.zeros(n_events, dtype=bool)
     in_tree[0] = True
-    best = list(weight[0])
+    best = weight[0].copy()
+    best[0] = -np.inf
     total = 0.0
     for _ in range(n_events - 1):
-        v = max(
-            (u for u in range(n_events) if not in_tree[u]),
-            key=lambda u: (best[u], -u),
-        )
-        total += best[v]
+        v = int(np.argmax(best))
+        total += float(best[v])
         in_tree[v] = True
-        for u in range(n_events):
-            if not in_tree[u] and weight[v][u] > best[u]:
-                best[u] = weight[v][u]
+        best[v] = -np.inf
+        row = weight[v]
+        np.copyto(best, row, where=(row > best) & ~in_tree)
     return float(s1) - total
 
 
@@ -523,14 +529,14 @@ def pairwise_probabilities(
     if boxes and dim != measure.dimension:
         raise InputError(f"boxes have dimension {dim}, measure has {measure.dimension}")
     out = dict.fromkeys(combinations(range(len(boxes)), 2), 0.0)
+    pairs, lowers, uppers = [], [], []
     for i, lower, upper, positive in _pair_pass(boxes, EmptinessMode.POSITIVE_MEASURE):
-        survivors = zip(
-            (np.flatnonzero(positive) + (i + 1)).tolist(),
-            lower[positive].tolist(),
-            upper[positive].tolist(),
-        )
-        for j, lo, hi in survivors:
-            out[(i, j)] = measure.rect_probability(lo, hi)
+        pairs.extend((i, j) for j in (np.flatnonzero(positive) + (i + 1)).tolist())
+        lowers.append(lower[positive])
+        uppers.append(upper[positive])
+    if pairs:
+        probabilities = measure.rect_probabilities(np.concatenate(lowers), np.concatenate(uppers))
+        out.update(zip(pairs, probabilities.tolist()))
     return out
 
 

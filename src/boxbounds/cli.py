@@ -223,7 +223,8 @@ def _cmd_screen(args):
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
     graph = build_graph(boxes, mode)
-    ledger = enumerate_tuples(boxes, graph, mode, n, measure=problem.measure)
+    # The listing shows vertices only, so the ledger is built without a measure.
+    ledger = enumerate_tuples(boxes, graph, mode, n)
 
     # (order, [(label, indices, lower, upper, nonempty), ...]) per listed order
     sections = []
@@ -232,15 +233,18 @@ def _cmd_screen(args):
         sections.append(
             (2, [(r.label, r.indices, r.lower, r.upper, r.nonempty) for r in rows])
         )
-    for k in sorted(ledger.orders):
+    for k in sorted(ledger.levels):
         if k < 3 or k > max_order:
             continue
+        level = ledger.levels[k]
         sections.append(
             (
                 k,
                 [
-                    (e.box.id, e.indices, e.box.lower, e.box.upper, True)
-                    for e in ledger.entries(k)
+                    ("".join(boxes[i].id for i in indices), indices, lower, upper, True)
+                    for indices, lower, upper in zip(
+                        level.indices.tolist(), level.lower.tolist(), level.upper.tolist()
+                    )
                 ],
             )
         )

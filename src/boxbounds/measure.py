@@ -38,6 +38,11 @@ class UniformInterval:
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
+    def cdfs(self, x: np.ndarray) -> np.ndarray:
+        """cdf of every entry of a float array, with cdf's float operations."""
+        inner = (x - self.a) / (self.b - self.a)
+        return np.where(x <= self.a, 0.0, np.where(x >= self.b, 1.0, inner))
+
     def ppf(self, u):
         """Quantile function; accepts scalars or numpy arrays."""
         return self.a + u * (self.b - self.a)
@@ -79,6 +84,20 @@ class PiecewiseCdf:
         i = bisect_right(knots, x) - 1
         t = (x - knots[i]) / (knots[i + 1] - knots[i])
         return values[i] + t * (values[i + 1] - values[i])
+
+    def cdfs(self, x: np.ndarray) -> np.ndarray:
+        """cdf of every entry of a float array, with cdf's float operations.
+
+        Entries outside the knot range are clipped before the interpolation
+        so no infinity reaches it; cdf's first two branches overwrite them.
+        """
+        knots = np.asarray(self.knots)
+        values = np.asarray(self.values)
+        inside = np.clip(x, knots[0], knots[-1])
+        i = np.clip(np.searchsorted(knots, inside, side="right") - 1, 0, len(knots) - 2)
+        t = (inside - knots[i]) / (knots[i + 1] - knots[i])
+        inner = values[i] + t * (values[i + 1] - values[i])
+        return np.where(x <= knots[0], 0.0, np.where(x >= knots[-1], 1.0, inner))
 
     def ppf(self, u):
         """Generalized inverse; flat CDF segments map to their left edge."""
@@ -145,6 +164,27 @@ class ProductMeasure:
             p *= self.interval_probability(k, lower[k], upper[k])
             if p == 0.0:
                 return 0.0
+        return p
+
+    def rect_probabilities(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """rect_probability of every row of two ``(F, dimension)`` vertex arrays.
+
+        The float operations and their order are rect_probability's, so each
+        entry equals the scalar result bit for bit: a product of one factor
+        per coordinate, left to right, where a zero factor keeps the product
+        at zero just as the scalar early return does.
+        """
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if lower.shape != upper.shape or lower.ndim != 2 or lower.shape[1] != self.dimension:
+            raise InputError(
+                f"vertex arrays of shapes {lower.shape} and {upper.shape} do not "
+                f"match measure dimension {self.dimension}"
+            )
+        p = np.ones(len(lower))
+        for k, marginal in enumerate(self.marginals):
+            d = marginal.cdfs(upper[:, k]) - marginal.cdfs(lower[:, k])
+            p *= np.where(d > 0.0, d, 0.0)
         return p
 
     def box_probability(self, box: Box) -> float:

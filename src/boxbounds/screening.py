@@ -17,12 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import (
-    Box,
-    EmptinessMode,
-    require_same_dimension,
-    vertex_pair_nonempty,
-)
+from .geometry import Box, EmptinessMode, require_same_dimension
 from .measure import ProductMeasure
 
 
@@ -50,13 +45,6 @@ class IntersectionGraph:
             return False
         return (min(i, j), max(i, j)) in self.edges
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_events)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
 
 @dataclass(frozen=True)
 class TupleEntry:
@@ -67,29 +55,69 @@ class TupleEntry:
     probability: float | None = None
 
 
+class LedgerOrder(NamedTuple):
+    """The surviving tuples of one order k as columns, row f being one tuple.
+
+    ``indices`` is ``(F, k)``, ``lower``/``upper`` are ``(F, d)`` and hold
+    the intersection vertices, ``probability`` is ``(F,)`` or None when the
+    ledger was built without a measure.  Rows are in lexicographic order.
+    """
+
+    indices: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    probability: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class TupleLedger:
-    """Surviving tuples per order k, each list in lexicographic index order."""
+    """Surviving tuples per order k, stored as columns, rows lexicographic.
+
+    Only orders with at least one surviving tuple are stored.  ``entries``
+    builds row objects on demand; the counts and sums read the columns.
+    """
 
     n_events: int
-    orders: dict[int, list[TupleEntry]] = field(default_factory=dict)
+    ids: tuple[str, ...]
+    levels: dict[int, LedgerOrder] = field(default_factory=dict)
 
     def entries(self, order: int) -> list[TupleEntry]:
-        return self.orders.get(order, [])
+        """Row objects of one order, built on each call; [] for an absent order."""
+        level = self.levels.get(order)
+        if level is None:
+            return []
+        probabilities = (
+            [None] * len(level.indices)
+            if level.probability is None
+            else level.probability.tolist()
+        )
+        return [
+            TupleEntry(
+                tuple(indices), Box("".join(self.ids[i] for i in indices), lower, upper), p
+            )
+            for indices, lower, upper, p in zip(
+                level.indices.tolist(), level.lower.tolist(), level.upper.tolist(), probabilities
+            )
+        ]
 
     @property
     def max_order(self) -> int:
-        return max(self.orders, default=0)
+        return max(self.levels, default=0)
 
     def term_count(self) -> int:
-        return sum(len(entries) for entries in self.orders.values())
+        return sum(len(level.indices) for level in self.levels.values())
+
+    def _probabilities(self, order: int) -> list[float]:
+        level = self.levels.get(order)
+        if level is None:
+            return []
+        if level.probability is None:
+            raise InputError("ledger was built without a measure; probabilities missing")
+        return level.probability.tolist()
 
     def order_sum(self, order: int) -> float:
         """Probability total over the surviving tuples of one order."""
-        entries = self.entries(order)
-        if any(entry.probability is None for entry in entries):
-            raise InputError("ledger was built without a measure; probabilities missing")
-        return fsum(entry.probability for entry in entries)
+        return fsum(self._probabilities(order))
 
 
 @dataclass(frozen=True)
@@ -132,8 +160,7 @@ class UnionResult(NamedTuple):
     terms_full: int
 
 
-@dataclass(frozen=True)
-class TupleVerdict:
+class TupleVerdict(NamedTuple):
     """One verdict-table row: candidate intersection vertices plus yes/no."""
 
     indices: tuple[int, ...]
@@ -194,6 +221,57 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
     return rows
 
 
+# Terms a ledger or clique walk may hold before it stops with an InputError.
+# A kept term of order k in d dimensions takes (k + 2d + 1) * 8 bytes; the
+# order being extended also holds one byte per event and term in its
+# candidate mask, and the gather that builds the next mask twice that.
+TERM_BUDGET = 1_000_000
+
+
+def _later_neighbours(graph: IntersectionGraph) -> np.ndarray:
+    """``(N, N)`` mask: ``later[v, w]`` when v < w and (v, w) is an edge."""
+    later = np.zeros((graph.n_events, graph.n_events), dtype=bool)
+    if graph.edges:
+        rows, cols = np.array(sorted(graph.edges)).T
+        later[rows, cols] = True
+    return later
+
+
+def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, admit=None):
+    """Cliques of orders 1..cap whose smallest vertex is one of the roots.
+
+    Yields one ``(F, k)`` index array per nonempty order k, rows in
+    lexicographic order.  Each row keeps a mask of the later vertices
+    adjacent to all of its members; order k+1 extends row f by every such
+    vertex w in row-major order, which keeps the rows lexicographic.
+    ``admit(f, w)``, when given, returns a boolean mask of the extensions
+    to keep.  Stops with an InputError before an order whose candidates
+    would take the walk past TERM_BUDGET terms.
+    """
+    indices = roots[:, None]
+    cand = later[roots]
+    kept = 0
+    for k in range(1, cap + 1):
+        if not len(indices):
+            return
+        yield indices
+        kept += len(indices)
+        if k == cap:
+            return
+        pending = int(np.count_nonzero(cand))
+        if kept + pending > TERM_BUDGET:
+            raise InputError(
+                f"{kept + pending} inclusion-exclusion terms up to order {k + 1} "
+                f"exceed the budget of {TERM_BUDGET}"
+            )
+        f, w = np.nonzero(cand)
+        if admit is not None:
+            keep = admit(f, w)
+            f, w = f[keep], w[keep]
+        indices = np.column_stack((indices[f], w))
+        cand = cand[f] & later[w]
+
+
 def cliques_by_order(
     graph: IntersectionGraph, max_order: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
@@ -201,27 +279,14 @@ def cliques_by_order(
 
     Level k is produced by extending level k-1 tuples with a common
     neighbor of larger index, so level k is exactly the k-vertex cliques.
+    Raises InputError when the walk would exceed TERM_BUDGET cliques.
     """
     n = graph.n_events
     cap = n if max_order is None else min(max_order, n)
-    out: dict[int, list[tuple[int, ...]]] = {}
-    if cap < 1 or n == 0:
-        return out
-    adj = graph.adjacency()
-    frontier = [((v,), {w for w in adj[v] if w > v}) for v in range(n)]
-    out[1] = [t for t, _ in frontier]
-    k = 1
-    while frontier and k < cap:
-        new_frontier = []
-        for t, cands in frontier:
-            for w in sorted(cands):
-                new_frontier.append((t + (w,), {u for u in cands & adj[w] if u > w}))
-        k += 1
-        if not new_frontier:
-            break
-        out[k] = [t for t, _ in new_frontier]
-        frontier = new_frontier
-    return out
+    levels = _clique_levels(_later_neighbours(graph), np.arange(n), cap)
+    return {
+        k: [tuple(t) for t in indices.tolist()] for k, indices in enumerate(levels, 1)
+    }
 
 
 def count_cliques(graph: IntersectionGraph, order: int) -> int:
@@ -244,8 +309,11 @@ def enumerate_tuples(
     Candidates at order k extend surviving (k-1)-tuples by graph neighbors
     common to every member, and each candidate is confirmed with the
     k-wise vertex test; the test is the arbiter.  max_order above the
-    event count is clamped.  With a measure given, each entry carries its
-    intersection probability.
+    event count is clamped.  With a measure given, each order carries its
+    intersection probabilities.  Whole orders are built at once; the meet
+    picks each vertex with the comparison Python's max/min make, as in
+    _pair_pass.  Raises InputError when the walk would exceed TERM_BUDGET
+    terms.
     """
     n = len(boxes)
     if graph.n_events != n:
@@ -256,63 +324,38 @@ def enumerate_tuples(
             f"boxes have dimension {dim}, measure has {measure.dimension}"
         )
     cap = min(max_order, n)
-    orders: dict[int, list[TupleEntry]] = {}
+    ids = tuple(box.id for box in boxes)
+    levels: dict[int, LedgerOrder] = {}
     if cap < 1:
-        return TupleLedger(n, orders)
+        return TupleLedger(n, ids, levels)
 
-    adj = graph.adjacency()
-    frontier = []
-    level = []
-    for v, box in enumerate(boxes):
-        if not vertex_pair_nonempty(box.lower, box.upper, mode):
-            continue  # degenerate event pruned under the strict test
-        prob = measure.box_probability(box) if measure is not None else None
-        level.append(TupleEntry((v,), box, prob))
-        frontier.append(((v,), box.lower, box.upper, {w for w in adj[v] if w > v}))
-    if level:
-        orders[1] = level
+    lowers = np.array([box.lower for box in boxes], dtype=float)
+    uppers = np.array([box.upper for box in boxes], dtype=float)
+    test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
+    roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
+    lower, upper = lowers[roots], uppers[roots]
 
-    k = 1
-    while frontier and k < cap:
-        new_frontier = []
-        level = []
-        for t, lower, upper, cands in frontier:
-            for w in sorted(cands):
-                box = boxes[w]
-                new_lower = tuple(map(max, lower, box.lower))
-                new_upper = tuple(map(min, upper, box.upper))
-                if not vertex_pair_nonempty(new_lower, new_upper, mode):
-                    continue
-                indices = t + (w,)
-                joined = Box(
-                    "".join(boxes[i].id for i in indices), new_lower, new_upper
-                )
-                prob = (
-                    measure.rect_probability(new_lower, new_upper)
-                    if measure is not None
-                    else None
-                )
-                level.append(TupleEntry(indices, joined, prob))
-                new_frontier.append(
-                    (indices, new_lower, new_upper, {u for u in cands & adj[w] if u > w})
-                )
-        k += 1
-        if level:
-            orders[k] = level
-        frontier = new_frontier
-    return TupleLedger(n, orders)
+    def admit(f, w):
+        nonlocal lower, upper
+        new_lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
+        new_upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
+        keep = test(new_lower, new_upper).all(axis=1)
+        lower, upper = new_lower[keep], new_upper[keep]
+        return keep
+
+    for k, indices in enumerate(_clique_levels(_later_neighbours(graph), roots, cap, admit), 1):
+        probability = None if measure is None else measure.rect_probabilities(lower, upper)
+        levels[k] = LedgerOrder(indices, lower, upper, probability)
+    return TupleLedger(n, ids, levels)
 
 
 def _signed_total(ledger: TupleLedger) -> float:
     """Alternating inclusion-exclusion total over the ledger, fully summed
     with fsum in deterministic (order, lexicographic) order."""
     signed = []
-    for k in sorted(ledger.orders):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for entry in ledger.entries(k):
-            if entry.probability is None:
-                raise InputError("ledger was built without a measure; probabilities missing")
-            signed.append(sign * entry.probability)
+    for k in sorted(ledger.levels):
+        probabilities = ledger._probabilities(k)
+        signed.extend(probabilities if k % 2 == 1 else [-p for p in probabilities])
     return fsum(signed)
 
 

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxbounds.bounding import (
     BooleanSystem,
@@ -306,6 +310,52 @@ def test_hunter_worsley_validation():
         hunter_worsley_upper(0.5, {(0, 3): 0.1}, 2)
     with pytest.raises(InputError):
         hunter_worsley_upper(0.5, {(0, 1): 1.2}, 2)
+
+
+def _hunter_worsley_reference(s1, pairwise, n_events):
+    """Prim's algorithm over a dense list-of-lists weight matrix."""
+    weight = [[0.0] * n_events for _ in range(n_events)]
+    for (i, j), value in pairwise.items():
+        weight[i][j] = weight[j][i] = float(value)
+    if n_events <= 1:
+        return float(s1)
+    in_tree = [False] * n_events
+    in_tree[0] = True
+    best = list(weight[0])
+    total = 0.0
+    for _ in range(n_events - 1):
+        v = max((u for u in range(n_events) if not in_tree[u]), key=lambda u: (best[u], -u))
+        total += best[v]
+        in_tree[v] = True
+        for u in range(n_events):
+            if not in_tree[u] and weight[v][u] > best[u]:
+                best[u] = weight[v][u]
+    return float(s1) - total
+
+
+# Few distinct weights, so ties (and ties between 0.0 and -0.0) are common.
+PAIR_WEIGHTS = st.sampled_from([0.0, -0.0, -1e-13, 1e-12, 0.1, 0.25, 0.3, 1.0])
+
+
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hunter_worsley_matches_list_prim(n, data):
+    pairs = list(combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pairwise = {}
+    for i, j in chosen:
+        key = (j, i) if data.draw(st.booleans()) else (i, j)
+        pairwise[key] = data.draw(PAIR_WEIGHTS)
+    s1 = data.draw(st.sampled_from([0.0, 0.7, 2.5]))
+    assert repr(hunter_worsley_upper(s1, pairwise, n)) == repr(
+        _hunter_worsley_reference(s1, pairwise, n)
+    )
+
+
+def test_hunter_worsley_duplicate_keys():
+    assert hunter_worsley_upper(1.0, {(0, 1): 0.25, (1, 0): 0.25}, 2) == 0.75
+    with pytest.raises(InputError, match="conflicting"):
+        hunter_worsley_upper(1.0, {(0, 1): 0.25, (1, 0): 0.5}, 2)
 
 
 def test_hunter_worsley_dominates_exact_and_boole():

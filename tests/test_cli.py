@@ -256,3 +256,18 @@ def test_inconsistent_moments_exit_2(capsys, tmp_path):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["bounds", "--help"]) == 0
+
+
+def test_term_budget_exits_with_input_error(capsys, tmp_path):
+    # 2^22 - 1 nonempty tuples: the screened formula keeps every term.
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [1]},
+        "boxes": [{"id": f"A{i}", "lower": [0], "upper": [1]} for i in range(22)],
+    }
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, "union", str(path))
+    assert code == 1
+    assert out == ""
+    assert "budget" in err

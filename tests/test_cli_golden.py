@@ -1,0 +1,100 @@
+"""Byte-for-byte replay of recorded CLI stdout on both fixtures.
+
+Every subcommand runs in both output formats and, where it takes one, in
+both ``--mode`` values.  The recorded outputs live in
+``tests/golden/cli_stdout.json``; regenerate them only for an intended
+output change, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+import contextlib
+import functools
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from boxbounds.cli import run
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+FIXTURES = ("example1", "example2")
+MODES = ("positive-measure", "closed")
+FORMATS = ("table", "json")
+
+# Subcommand arguments after the input file; the geometry ones also take --mode.
+GEOMETRY_COMMANDS = (
+    ("screen",),
+    ("screen", "--max-order", "2"),
+    ("screen", "--max-order", "3"),
+    ("union",),
+    ("moments",),
+    ("moments", "--m", "2"),
+    ("graph",),
+    ("bounds",),
+    ("bounds", "--m", "2", "--with-q"),
+    ("bounds", "--target", "atleast", "--r", "2"),
+    ("bounds", "--target", "exactly", "--r", "1"),
+    ("bounds", "--method", "boolean", "--m", "2"),
+    ("bounds", "--method", "hunter-worsley"),
+)
+ORACLE_COMMANDS = (
+    ("oracle", "--engine", "ie"),
+    ("oracle", "--engine", "cells"),
+    ("oracle", "--engine", "mc", "--samples", "20000", "--seed", "7"),
+)
+
+
+def cases():
+    """(name, argv) pairs; argv names the fixture relative to the repo root."""
+    out = []
+    for fixture in FIXTURES:
+        path = f"fixtures/{fixture}.json"
+        for fmt in FORMATS:
+            for command, *rest in GEOMETRY_COMMANDS:
+                for mode in MODES:
+                    out.append([command, path, *rest, "--mode", mode, "--format", fmt])
+            for command, *rest in ORACLE_COMMANDS:
+                out.append([command, path, *rest, "--format", fmt])
+    return [(" ".join(argv), argv) for argv in out]
+
+
+def invoke(argv):
+    """Exit code and stdout of one CLI call with paths taken from the repo root."""
+    argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, stdout.getvalue()
+
+
+@functools.cache
+def _recorded():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, argv", cases(), ids=[name for name, _ in cases()])
+def test_cli_stdout_matches_golden(name, argv):
+    expected = _recorded()[name]
+    code, stdout = invoke(argv)
+    assert code == expected["exit"]
+    assert stdout == expected["stdout"]
+
+
+def test_golden_covers_every_case():
+    assert sorted(_recorded()) == sorted(name for name, _ in cases())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit(__doc__)
+    recorded = {}
+    for name, argv in cases():
+        code, stdout = invoke(argv)
+        recorded[name] = {"exit": code, "stdout": stdout}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} cases to {GOLDEN}")

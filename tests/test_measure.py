@@ -2,6 +2,8 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
@@ -132,3 +134,52 @@ def test_sample_shape_and_support():
     assert pts.shape == (1000, 2)
     assert pts[:, 0].min() >= 2.0 and pts[:, 0].max() <= 3.0
     assert pts[:, 1].min() >= 0.0 and pts[:, 1].max() <= 1.0
+
+
+MARGINALS = (
+    UniformInterval(-1.0, 1.5),
+    UniformInterval(0.0, 10.0),
+    # 0.1 + 1.0 * (0.45 - 0.1) rounds below 0.45: a knot looked up in the
+    # wrong segment shows
+    PiecewiseCdf((-1.0, 0.0, 0.5, 2.0), (0.0, 0.1, 0.45, 1.0)),
+    PiecewiseCdf((0.0, 0.3, 0.5, 1.0), (0.0, 0.5, 0.5, 1.0)),
+)
+# Knots, support ends, points between them, signed zeros and infinities.
+VERTEX_COORDS = st.sampled_from(
+    [-inf, -2.0, -1.0, -0.5, -0.0, 0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 7.25, 10.0, 11.0, inf]
+) | st.floats(-3.0, 12.0)
+
+
+@st.composite
+def vertex_arrays(draw):
+    marginals = tuple(draw(st.lists(st.sampled_from(MARGINALS), min_size=1, max_size=3)))
+    rows = draw(st.integers(0, 8))
+    coords = st.lists(VERTEX_COORDS, min_size=len(marginals), max_size=len(marginals))
+    lower = [draw(coords) for _ in range(rows)]
+    upper = [draw(coords) for _ in range(rows)]  # inverted rows included
+    return ProductMeasure(marginals), lower, upper
+
+
+@given(vertex_arrays())
+@settings(max_examples=300, deadline=None)
+@example((ProductMeasure((MARGINALS[2], MARGINALS[0])), [[-0.0, -inf], [0.25, 2.0]], [[0.0, inf], [0.5, 1.5]]))
+@example((ProductMeasure((MARGINALS[2], MARGINALS[3])), [[-inf, 0.0], [-1.0, 0.3]], [[0.5, 0.3], [0.5, 0.5]]))
+def test_rect_probabilities_match_rect_probability_bitwise(case):
+    measure, lower, upper = case
+    got = measure.rect_probabilities(
+        np.array(lower, dtype=float).reshape(-1, measure.dimension),
+        np.array(upper, dtype=float).reshape(-1, measure.dimension),
+    )
+    expected = [measure.rect_probability(lo, hi) for lo, hi in zip(lower, upper)]
+    # repr tells 0.0 from -0.0 and shows every bit of the mantissa
+    assert [repr(p) for p in got.tolist()] == [repr(p) for p in expected]
+
+
+def test_rect_probabilities_shape_validation():
+    measure = ProductMeasure.uniform((0, 0), (1, 1))
+    with pytest.raises(InputError):
+        measure.rect_probabilities(np.zeros((3, 1)), np.ones((3, 1)))
+    with pytest.raises(InputError):
+        measure.rect_probabilities(np.zeros((3, 2)), np.ones((2, 2)))
+    with pytest.raises(InputError):
+        measure.rect_probabilities(np.zeros(2), np.ones(2))

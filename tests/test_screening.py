@@ -1,5 +1,5 @@
 from itertools import combinations
-from math import fsum, inf
+from math import comb, fsum, inf
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from boxbounds.bounding import pairwise_probabilities
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box, EmptinessMode, meet_vertices, vertex_pair_nonempty
-from boxbounds.measure import PiecewiseCdf, ProductMeasure
+from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from boxbounds.oracle import full_inclusion_exclusion_union
 from boxbounds.screening import (
+    TERM_BUDGET,
     IntersectionGraph,
     MomentVector,
     binomial_moments,
@@ -103,8 +104,9 @@ def test_ledger_is_lexicographic(ex1):
     boxes, measure = ex1
     graph = build_graph(boxes, STRICT)
     ledger = enumerate_tuples(boxes, graph, STRICT, 5)
-    for order, entries in ledger.orders.items():
-        indices = [entry.indices for entry in entries]
+    assert sorted(ledger.levels) == [1, 2, 3, 4]
+    for order in sorted(ledger.levels):
+        indices = [entry.indices for entry in ledger.entries(order)]
         assert indices == sorted(indices)
         assert all(len(t) == order for t in indices)
 
@@ -359,3 +361,85 @@ def test_pair_pass_matches_meet_vertices(boxes, mode):
         expected = {pair: measure.rect_probability(lower, upper) for pair, lower, upper in reference}
         assert list(pairwise.items()) == list(expected.items())
         assert all(type(p) is float for p in pairwise.values())
+
+
+def _ledger_measures(dim):
+    """A uniform measure whose support misses part of the coordinate grid,
+    and a piecewise-linear one with a flat segment and knot values whose
+    interpolation from the left segment rounds (0.1 + 1.0 * 0.35 < 0.45)."""
+    uniform = ProductMeasure((UniformInterval(-1.0, 1.5),) * dim)
+    cdf = PiecewiseCdf((-1.0, 0.0, 0.5, 1.0, 2.0), (0.0, 0.1, 0.45, 0.45, 1.0))
+    piecewise = ProductMeasure((cdf,) * dim)
+    return uniform, piecewise
+
+
+def _reference_ledger(boxes, mode, max_order, measure):
+    """Every nonempty tuple by brute force: (order, indices, id, lower, upper, p)."""
+    rows = []
+    for k in range(1, min(max_order, len(boxes)) + 1):
+        for combo in combinations(range(len(boxes)), k):
+            lower, upper = meet_vertices([boxes[i] for i in combo])
+            if vertex_pair_nonempty(lower, upper, mode):
+                p = None if measure is None else measure.rect_probability(lower, upper)
+                ids = "".join(boxes[i].id for i in combo)
+                rows.append((k, combo, ids, repr(lower), repr(upper), repr(p)))
+    return rows
+
+
+@given(box_lists(), st.sampled_from(list(EmptinessMode)), st.integers(0, 8), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+@example([], STRICT, 3, 0)
+@example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], CLOSED, 2, 1)
+@example([Box("A", (0.5, 0.0), (0.5, 1.0)), Box("B", (0.0, 0.0), (1.0, 1.0))], CLOSED, 2, 2)
+@example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, CLOSED, 4, 1)
+def test_enumerate_tuples_matches_brute_force(boxes, mode, max_order, measure_kind):
+    measure = None
+    if boxes and measure_kind:
+        measure = _ledger_measures(boxes[0].dimension)[measure_kind - 1]
+    ledger = enumerate_tuples(boxes, build_graph(boxes, mode), mode, max_order, measure)
+    got = [
+        (k, entry.indices, entry.box.id, repr(entry.box.lower), repr(entry.box.upper),
+         repr(entry.probability))
+        for k in sorted(ledger.levels)
+        for entry in ledger.entries(k)
+    ]
+    assert got == _reference_ledger(boxes, mode, max_order, measure)
+    assert ledger.term_count() == len(got)
+    assert all(type(i) is int for row in got for i in row[1])
+    if measure is not None:
+        for k in sorted(ledger.levels):
+            expected = fsum(measure.rect_probability(*meet_vertices([boxes[i] for i in t]))
+                            for _, t, *_ in (row for row in got if row[0] == k))
+            assert ledger.order_sum(k) == expected
+
+
+def test_enumerate_tuples_stops_at_the_term_budget():
+    # 22 identical boxes keep all 2^22 - 1 tuples; the walk stops before
+    # the order that would take it past the budget, not after the memory.
+    boxes = [Box(f"A{i}", (0.0, 0.0), (1.0, 1.0)) for i in range(22)]
+    graph = build_graph(boxes, STRICT)
+    with pytest.raises(InputError, match="budget"):
+        enumerate_tuples(boxes, graph, STRICT, len(boxes))
+    with pytest.raises(InputError, match="budget"):
+        clique_number(graph)
+    below = enumerate_tuples(boxes, graph, STRICT, 7)
+    assert below.term_count() == sum(comb(22, k) for k in range(1, 8))
+    assert below.term_count() < TERM_BUDGET
+
+
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cliques_by_order_matches_brute_force(n, data):
+    all_pairs = list(combinations(range(n), 2))
+    edges = frozenset(data.draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else [])
+    max_order = data.draw(st.none() | st.integers(0, n + 1))
+    graph = IntersectionGraph(n, edges)
+    cap = n if max_order is None else min(max_order, n)
+    expected = {}
+    for k in range(1, cap + 1):
+        cliques = [t for t in combinations(range(n), k) if all(p in edges for p in combinations(t, 2))]
+        if not cliques:
+            break
+        expected[k] = cliques
+    assert cliques_by_order(graph, max_order) == expected
+    assert clique_number(graph) == max(cliques_by_order(graph), default=0)
