@@ -29,9 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleBoundsError, InputError
-from .geometry import Box, EmptinessMode, meet_vertices, require_same_dimension
+from .geometry import Box, EmptinessMode
 from .measure import ProductMeasure
-from .screening import MomentVector, _pair_pass
+from .screening import MomentVector, enumerate_tuples
 
 PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 200_000
@@ -520,23 +520,14 @@ def hunter_worsley_upper(
 def pairwise_probabilities(
     boxes: Sequence[Box], measure: ProductMeasure
 ) -> dict[tuple[int, int], float]:
-    """P(A_i A_j) for every index pair i < j.
+    """P(A_i A_j) for every index pair i < j, in lexicographic order.
 
-    Pairs failing the positive-measure vertex test carry probability
-    exactly 0.0, so only the survivors are evaluated.
+    The order-2 level of a positive-measure ledger; pairs it prunes carry
+    probability exactly 0.0.
     """
-    dim = require_same_dimension(boxes)
-    if boxes and dim != measure.dimension:
-        raise InputError(f"boxes have dimension {dim}, measure has {measure.dimension}")
+    ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, 2, measure)
     out = dict.fromkeys(combinations(range(len(boxes)), 2), 0.0)
-    pairs, lowers, uppers = [], [], []
-    for i, lower, upper, positive in _pair_pass(boxes, EmptinessMode.POSITIVE_MEASURE):
-        pairs.extend((i, j) for j in (np.flatnonzero(positive) + (i + 1)).tolist())
-        lowers.append(lower[positive])
-        uppers.append(upper[positive])
-    if pairs:
-        probabilities = measure.rect_probabilities(np.concatenate(lowers), np.concatenate(uppers))
-        out.update(zip(pairs, probabilities.tolist()))
+    out.update(ledger.probabilities(2))
     return out
 
 
@@ -547,16 +538,20 @@ def pairwise_probabilities(
 def boolean_system_from_boxes(
     boxes: Sequence[Box], measure: ProductMeasure, m: int
 ) -> BooleanSystem:
-    """Intersection probabilities of all subsets up to order m."""
+    """Intersection probabilities of all subsets up to order m.
+
+    Read from a positive-measure ledger built to order m; every subset it
+    prunes carries probability exactly 0.0.
+    """
     n = len(boxes)
     if not 1 <= m <= n:
         raise InputError(f"order m={m} out of range 1..{n}")
-    require_same_dimension(boxes)
+    ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, m, measure)
     p = {}
     for k in range(1, m + 1):
+        present = ledger.probabilities(k)
         for combo in combinations(range(n), k):
-            lower, upper = meet_vertices([boxes[i] for i in combo])
-            p[frozenset(combo)] = measure.rect_probability(lower, upper)
+            p[frozenset(combo)] = present.get(combo, 0.0)
     return BooleanSystem(n, m, p)
 
 

@@ -19,7 +19,6 @@ from .bounding import (
     boolean_system_from_boxes,
     exactly_r_bounds,
     hunter_worsley_upper,
-    pairwise_probabilities,
     q_atleast_bounds,
     q_exactly_bounds,
     union_bounds,
@@ -222,9 +221,8 @@ def _cmd_screen(args):
     boxes = problem.boxes
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
-    graph = build_graph(boxes, mode)
     # The listing shows vertices only, so the ledger is built without a measure.
-    ledger = enumerate_tuples(boxes, graph, mode, n)
+    ledger = enumerate_tuples(boxes, mode, n)
 
     # (order, [(label, indices, lower, upper, nonempty), ...]) per listed order
     sections = []
@@ -338,35 +336,35 @@ def _cmd_moments(args):
 
 
 def _bounds_inputs(args):
-    """Moments (plus geometry when available) for the bounds subcommand."""
+    """Geometry with its resolved mode, or moments, for the bounds subcommand."""
     doc = load_document(args.file)
     if isinstance(doc, dict) and "boxes" in doc:
         problem = parse_geometry(doc)
         mode = _resolve_mode(args, problem)
-        n = len(problem.boxes)
-        if n == 0:
+        if not problem.boxes:
             raise _fail("bounds need at least one event")
-        moments = binomial_moments(problem.boxes, problem.measure, mode, n)
-        return problem, moments
+        return problem, mode, None
     if isinstance(doc, dict) and "s" in doc:
         if getattr(args, "mode", None):
             raise _fail("--mode applies only to geometry input")
-        return None, parse_moments(doc)
+        return None, None, parse_moments(doc)
     raise _fail("input file must contain either 'boxes' (geometry) or 's' (moments)")
 
 
 def _cmd_bounds(args):
-    problem, moments = _bounds_inputs(args)
-    n = moments.n_events
+    problem, mode, moments = _bounds_inputs(args)
+    n = moments.n_events if problem is None else len(problem.boxes)
     target = args.target
     r = args.r
     if target in ("atleast", "exactly") and r is None:
         raise _fail(f"--target {target} requires --r")
     if target == "union" and r is not None:
         raise _fail("--r is meaningless for --target union")
-    m = min(3, moments.m) if args.m is None else args.m
+    m = min(3, n if moments is None else moments.m) if args.m is None else args.m
 
     if args.method == "moment":
+        if problem is not None:
+            moments = binomial_moments(problem.boxes, problem.measure, mode, n)
         if args.with_q:
             effective_r = 1 if target == "union" else r
             if target == "exactly":
@@ -394,11 +392,8 @@ def _cmd_bounds(args):
             raise _fail("--method hunter-worsley bounds the union only")
         if args.with_q:
             raise _fail("--with-q does not apply to the hunter-worsley method")
-        upper = hunter_worsley_upper(
-            moments.s_k(1),
-            pairwise_probabilities(problem.boxes, problem.measure),
-            n,
-        )
+        ledger = enumerate_tuples(problem.boxes, mode, 2, problem.measure)
+        upper = hunter_worsley_upper(ledger.order_sum(1), ledger.probabilities(2), n)
         doc = {
             "version": JSON_VERSION,
             "command": "bounds",

@@ -83,7 +83,9 @@ class PiecewiseCdf:
             return 1.0
         i = bisect_right(knots, x) - 1
         t = (x - knots[i]) / (knots[i + 1] - knots[i])
-        return values[i] + t * (values[i + 1] - values[i])
+        # Rounding can overshoot the next knot's value just below that
+        # knot; the clamp keeps the CDF nondecreasing across knots.
+        return min(values[i] + t * (values[i + 1] - values[i]), values[i + 1])
 
     def cdfs(self, x: np.ndarray) -> np.ndarray:
         """cdf of every entry of a float array, with cdf's float operations.
@@ -96,7 +98,7 @@ class PiecewiseCdf:
         inside = np.clip(x, knots[0], knots[-1])
         i = np.clip(np.searchsorted(knots, inside, side="right") - 1, 0, len(knots) - 2)
         t = (inside - knots[i]) / (knots[i + 1] - knots[i])
-        inner = values[i] + t * (values[i + 1] - values[i])
+        inner = np.minimum(values[i] + t * (values[i + 1] - values[i]), values[i + 1])
         return np.where(x <= knots[0], 0.0, np.where(x >= knots[-1], 1.0, inner))
 
     def ppf(self, u):

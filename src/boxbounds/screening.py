@@ -115,6 +115,12 @@ class TupleLedger:
             raise InputError("ledger was built without a measure; probabilities missing")
         return level.probability.tolist()
 
+    def probabilities(self, order: int) -> dict[tuple[int, ...], float]:
+        """{index tuple: probability} over the surviving tuples of one order."""
+        level = self.levels.get(order)
+        indices = [] if level is None else map(tuple, level.indices.tolist())
+        return dict(zip(indices, self._probabilities(order)))
+
     def order_sum(self, order: int) -> float:
         """Probability total over the surviving tuples of one order."""
         return fsum(self._probabilities(order))
@@ -170,10 +176,18 @@ class TupleVerdict(NamedTuple):
     nonempty: bool
 
 
-def _pair_pass(boxes: Sequence[Box], mode: EmptinessMode):
-    """Meet vertices and verdicts of every index pair, one row i at a time.
+def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper vertices of all boxes as two ``(N, d)`` arrays."""
+    require_same_dimension(boxes)
+    lowers = np.array([box.lower for box in boxes], dtype=float)
+    uppers = np.array([box.upper for box in boxes], dtype=float)
+    return lowers, uppers
 
-    Yields ``(i, lower, upper, nonempty)`` where row k of the
+
+def _pair_pass(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
+    """Meet vertices and verdicts of every pair of the ``(N, d)`` vertices.
+
+    Yields ``(i, lower, upper, nonempty)`` per row i, where row k of the
     ``(N-1-i, d)`` arrays ``lower``/``upper`` holds the candidate
     intersection vertices of boxes i and i+1+k, and ``nonempty`` is the
     vertex test per row.  Values equal those of meet_vertices: the vertex
@@ -181,11 +195,8 @@ def _pair_pass(boxes: Sequence[Box], mode: EmptinessMode):
     only when strictly larger/smaller), so ties between 0.0 and -0.0 keep
     the sign meet_vertices keeps, which np.maximum does not promise.
     """
-    require_same_dimension(boxes)
-    lowers = np.array([box.lower for box in boxes], dtype=float)
-    uppers = np.array([box.upper for box in boxes], dtype=float)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
-    for i in range(len(boxes) - 1):
+    for i in range(len(lowers) - 1):
         rest_lower = lowers[i + 1 :]
         rest_upper = uppers[i + 1 :]
         lower = np.where(rest_lower > lowers[i], rest_lower, lowers[i])
@@ -196,7 +207,7 @@ def _pair_pass(boxes: Sequence[Box], mode: EmptinessMode):
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
     edges = []
-    for i, _, _, nonempty in _pair_pass(boxes, mode):
+    for i, _, _, nonempty in _pair_pass(*_vertex_arrays(boxes), mode):
         edges.extend((i, j) for j in (np.flatnonzero(nonempty) + (i + 1)).tolist())
     return IntersectionGraph(len(boxes), frozenset(edges))
 
@@ -204,7 +215,7 @@ def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
     """One row per index pair, in lexicographic order, including failures."""
     rows = []
-    for i, lower, upper, nonempty in _pair_pass(boxes, mode):
+    for i, lower, upper, nonempty in _pair_pass(*_vertex_arrays(boxes), mode):
         first = boxes[i].id
         for j, lo, hi, verdict in zip(
             range(i + 1, len(boxes)), lower.tolist(), upper.tolist(), nonempty.tolist()
@@ -222,10 +233,11 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
 
 
 # Terms a ledger or clique walk may hold before it stops with an InputError.
-# A kept term of order k in d dimensions takes (k + 2d + 1) * 8 bytes; the
-# order being extended also holds one byte per event and term in its
-# candidate mask, and the gather that builds the next mask twice that.
+# A kept term of order k in d dimensions takes (k + 2d + 1) * 8 bytes.
 TERM_BUDGET = 1_000_000
+# Bytes the gather of one order's candidate masks may allocate: one byte
+# per event and term, three times over (two gathered rows and their AND).
+MASK_BYTE_BUDGET = 128 * 2**20
 
 
 def _later_neighbours(graph: IntersectionGraph) -> np.ndarray:
@@ -245,8 +257,9 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, admit=None):
     adjacent to all of its members; order k+1 extends row f by every such
     vertex w in row-major order, which keeps the rows lexicographic.
     ``admit(f, w)``, when given, returns a boolean mask of the extensions
-    to keep.  Stops with an InputError before an order whose candidates
-    would take the walk past TERM_BUDGET terms.
+    to keep.  The last order of a capped walk gathers no mask.  Stops with
+    an InputError before an order whose candidates would take the walk
+    past TERM_BUDGET terms, or before a mask gather past MASK_BYTE_BUDGET.
     """
     indices = roots[:, None]
     cand = later[roots]
@@ -269,6 +282,14 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, admit=None):
             keep = admit(f, w)
             f, w = f[keep], w[keep]
         indices = np.column_stack((indices[f], w))
+        if k + 1 == cap:
+            continue
+        gather = 3 * len(f) * len(later)
+        if gather > MASK_BYTE_BUDGET:
+            raise InputError(
+                f"{gather} candidate-mask bytes for order {k + 2} "
+                f"exceed the budget of {MASK_BYTE_BUDGET}"
+            )
         cand = cand[f] & later[w]
 
 
@@ -279,7 +300,8 @@ def cliques_by_order(
 
     Level k is produced by extending level k-1 tuples with a common
     neighbor of larger index, so level k is exactly the k-vertex cliques.
-    Raises InputError when the walk would exceed TERM_BUDGET cliques.
+    Raises InputError when the walk would exceed TERM_BUDGET cliques or
+    MASK_BYTE_BUDGET mask bytes.
     """
     n = graph.n_events
     cap = n if max_order is None else min(max_order, n)
@@ -299,29 +321,27 @@ def clique_number(graph: IntersectionGraph) -> int:
 
 def enumerate_tuples(
     boxes: Sequence[Box],
-    graph: IntersectionGraph,
     mode: EmptinessMode,
     max_order: int,
     measure: ProductMeasure | None = None,
 ) -> TupleLedger:
     """All index tuples of order <= max_order with nonempty intersection.
 
-    Candidates at order k extend surviving (k-1)-tuples by graph neighbors
-    common to every member, and each candidate is confirmed with the
-    k-wise vertex test; the test is the arbiter.  max_order above the
-    event count is clamped.  With a measure given, each order carries its
-    intersection probabilities.  Whole orders are built at once; the meet
-    picks each vertex with the comparison Python's max/min make, as in
-    _pair_pass.  Raises InputError when the walk would exceed TERM_BUDGET
-    terms.
+    One screened walk: the pair test fills the later-neighbour mask, and
+    candidates at order k extend surviving (k-1)-tuples by neighbours
+    common to every member, each confirmed with the k-wise vertex test.
+    max_order above the event count is clamped.  With a measure given,
+    each order carries its intersection probabilities; every tuple the
+    walk leaves out has probability exactly 0.0 under POSITIVE_MEASURE.
+    Whole orders are built at once; the meet picks each vertex with the
+    comparison Python's max/min make, as in _pair_pass.  Raises InputError
+    when the walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     n = len(boxes)
-    if graph.n_events != n:
-        raise InputError(f"graph has {graph.n_events} vertices for {n} boxes")
-    dim = require_same_dimension(boxes)
-    if measure is not None and n > 0 and dim != measure.dimension:
+    lowers, uppers = _vertex_arrays(boxes)
+    if measure is not None and n > 0 and lowers.shape[1] != measure.dimension:
         raise InputError(
-            f"boxes have dimension {dim}, measure has {measure.dimension}"
+            f"boxes have dimension {lowers.shape[1]}, measure has {measure.dimension}"
         )
     cap = min(max_order, n)
     ids = tuple(box.id for box in boxes)
@@ -329,8 +349,9 @@ def enumerate_tuples(
     if cap < 1:
         return TupleLedger(n, ids, levels)
 
-    lowers = np.array([box.lower for box in boxes], dtype=float)
-    uppers = np.array([box.upper for box in boxes], dtype=float)
+    later = np.zeros((n, n), dtype=bool)
+    for i, _, _, nonempty in _pair_pass(lowers, uppers, mode):
+        later[i, i + 1 :] = nonempty
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
@@ -343,7 +364,7 @@ def enumerate_tuples(
         lower, upper = new_lower[keep], new_upper[keep]
         return keep
 
-    for k, indices in enumerate(_clique_levels(_later_neighbours(graph), roots, cap, admit), 1):
+    for k, indices in enumerate(_clique_levels(later, roots, cap, admit), 1):
         probability = None if measure is None else measure.rect_probabilities(lower, upper)
         levels[k] = LedgerOrder(indices, lower, upper, probability)
     return TupleLedger(n, ids, levels)
@@ -372,8 +393,7 @@ def screened_union(
     """
     if not boxes:
         return UnionResult(0.0, 0, 0)
-    graph = build_graph(boxes, mode)
-    ledger = enumerate_tuples(boxes, graph, mode, len(boxes), measure=measure)
+    ledger = enumerate_tuples(boxes, mode, len(boxes), measure=measure)
     return UnionResult(_signed_total(ledger), ledger.term_count(), 2 ** len(boxes) - 1)
 
 
@@ -395,8 +415,7 @@ def binomial_moments(
         raise InputError("moment order must be nonnegative")
     if n == 0:
         return MomentVector(0, (), 0.0)
-    graph = build_graph(boxes, mode)
-    ledger = enumerate_tuples(boxes, graph, mode, n, measure=measure)
+    ledger = enumerate_tuples(boxes, mode, n, measure=measure)
     s = tuple(ledger.order_sum(k) for k in range(1, m + 1))
     return MomentVector(n, s, _signed_total(ledger))
 

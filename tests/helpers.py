@@ -36,6 +36,12 @@ def example2():
     return boxes, ProductMeasure.uniform((0, 0, 0), (5, 5, 5))
 
 
+# Interpolating from the left segment one ULP below the interior knot
+# 3.175... gives 0.31700000000000006, above the knot's own value 0.317.
+ULP_KNOTS = (0.0, 1.092783505154639, 3.1752577319587627, 7.65979381443299, 11.0)
+ULP_VALUES = (0.0, 0.03, 0.317, 0.53, 1.0)
+
+
 def random_instance(rng, max_events=10, max_dim=3, min_events=1):
     """Random boxes under a uniform measure on [0, 6]^dim.
 

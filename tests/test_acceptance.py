@@ -120,8 +120,7 @@ def test_criterion_01_pair_table_reproduction(ex1):
 def test_criterion_02_triples_and_quadruple(ex1):
     with criterion(2, "surviving triples, the single 4-tuple, and 19 of 31 terms"):
         boxes, measure = ex1
-        graph = build_graph(boxes, STRICT)
-        ledger = enumerate_tuples(boxes, graph, STRICT, 5, measure=measure)
+        ledger = enumerate_tuples(boxes, STRICT, 5, measure=measure)
         triples = {entry.box.id for entry in ledger.entries(3)}
         assert triples == {"A1A2A4", "A2A3A4", "A2A3A5", "A2A4A5", "A3A4A5"}
         quads = ledger.entries(4)

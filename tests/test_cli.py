@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from boxbounds.bounding import hunter_worsley_upper, pairwise_probabilities
 from boxbounds.cli import run
+from boxbounds.geometry import EmptinessMode
+from boxbounds.screening import binomial_moments
+
+from helpers import random_instance
 
 
 def _invoke(capsys, *argv):
@@ -112,6 +118,36 @@ def test_bounds_hunter_worsley(capsys, fixtures_dir):
     doc = json.loads(out)
     assert doc["upper"] == pytest.approx(0.224, abs=1e-12)
     assert "lower" not in doc
+
+
+@pytest.mark.parametrize("mode", [mode.value for mode in EmptinessMode])
+def test_hunter_worsley_matches_the_library_pipeline(capsys, tmp_path, mode):
+    # Half the instances sit on an integer grid: touching faces, zero widths.
+    rng = np.random.default_rng(17)
+    path = tmp_path / "boxes.json"
+    for _ in range(30):
+        boxes, measure = random_instance(rng, max_events=9)
+        dim = boxes[0].dimension
+        doc = {
+            "dimension": dim,
+            "measure": {"type": "uniform", "lower": [0.0] * dim, "upper": [6.0] * dim},
+            "boxes": [
+                {"id": box.id, "lower": list(box.lower), "upper": list(box.upper)}
+                for box in boxes
+            ],
+        }
+        path.write_text(json.dumps(doc))
+        code, out, _ = _invoke(
+            capsys, "bounds", str(path), "--method", "hunter-worsley", "--mode", mode,
+            "--format", "json",
+        )
+        assert code == 0
+        expected = hunter_worsley_upper(
+            binomial_moments(boxes, measure, EmptinessMode(mode)).s_k(1),
+            pairwise_probabilities(boxes, measure),
+            len(boxes),
+        )
+        assert repr(json.loads(out)["upper"]) == repr(expected)
 
 
 def test_bounds_boolean(capsys, fixtures_dir):

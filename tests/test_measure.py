@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from boxbounds.oracle import monte_carlo_union
 
-from helpers import random_instance
+from helpers import ULP_KNOTS, ULP_VALUES, random_instance
 
 
 def test_uniform_cdf():
@@ -183,3 +184,17 @@ def test_rect_probabilities_shape_validation():
         measure.rect_probabilities(np.zeros((3, 2)), np.ones((2, 2)))
     with pytest.raises(InputError):
         measure.rect_probabilities(np.zeros(2), np.ones(2))
+
+
+def test_piecewise_cdf_is_monotone_just_below_a_knot():
+    cdf = PiecewiseCdf(ULP_KNOTS, ULP_VALUES)
+    knot = ULP_KNOTS[2]
+    below = float(np.nextafter(knot, 0.0))
+    assert cdf.cdf(below) == cdf.cdf(knot) == 0.317
+    assert cdf.cdfs(np.array([below, knot])).tolist() == [0.317, 0.317]
+    # A ends one ULP below the knot where B starts: a measure-zero meet.
+    measure = ProductMeasure((cdf,))
+    boxes = [Box("A", (0.0,), (below,)), Box("B", (knot,), (11.0,))]
+    assert repr(pairwise_probabilities(boxes, measure)[(0, 1)]) == "0.0"
+    system = boolean_system_from_boxes(boxes, measure, 2)
+    assert repr(system.p[frozenset({0, 1})]) == "0.0"

@@ -1,17 +1,19 @@
+import tracemalloc
 from itertools import combinations
 from math import comb, fsum, inf
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from boxbounds.bounding import pairwise_probabilities
+from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box, EmptinessMode, meet_vertices, vertex_pair_nonempty
 from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from boxbounds.oracle import full_inclusion_exclusion_union
 from boxbounds.screening import (
+    MASK_BYTE_BUDGET,
     TERM_BUDGET,
     IntersectionGraph,
     MomentVector,
@@ -26,7 +28,7 @@ from boxbounds.screening import (
     to_dot,
 )
 
-from helpers import brute_force_tuples, random_instance
+from helpers import ULP_KNOTS, ULP_VALUES, brute_force_tuples, random_instance
 
 STRICT = EmptinessMode.POSITIVE_MEASURE
 CLOSED = EmptinessMode.CLOSED
@@ -59,8 +61,7 @@ def test_example2_closed_mode_edges(ex2):
 
 def test_example1_tuples(ex1):
     boxes, measure = ex1
-    graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 5, measure=measure)
+    ledger = enumerate_tuples(boxes, STRICT, 5, measure=measure)
     triples = {
         entry.box.id: (entry.box.lower, entry.box.upper)
         for entry in ledger.entries(3)
@@ -85,8 +86,7 @@ def test_example1_tuples(ex1):
 
 def test_example2_tuples(ex2):
     boxes, measure = ex2
-    graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 7, measure=measure)
+    ledger = enumerate_tuples(boxes, STRICT, 7, measure=measure)
     assert len(ledger.entries(1)) == 7
     assert [entry.indices for entry in ledger.entries(2)] == [(1, 6)]
     assert ledger.entries(3) == []
@@ -95,15 +95,13 @@ def test_example2_tuples(ex2):
 
 def test_max_order_clamped(ex1):
     boxes, measure = ex1
-    graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 99, measure=measure)
+    ledger = enumerate_tuples(boxes, STRICT, 99, measure=measure)
     assert ledger.max_order == 4
 
 
 def test_ledger_is_lexicographic(ex1):
     boxes, measure = ex1
-    graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 5)
+    ledger = enumerate_tuples(boxes, STRICT, 5)
     assert sorted(ledger.levels) == [1, 2, 3, 4]
     for order in sorted(ledger.levels):
         indices = [entry.indices for entry in ledger.entries(order)]
@@ -174,11 +172,10 @@ def test_degenerate_box_pruned_under_strict_mode():
     boxes = [Box("A", (0, 0), (1, 1)), Box("P", (0.5, 0.2), (0.5, 0.9))]
     graph = build_graph(boxes, STRICT)
     assert graph.n_edges == 0
-    ledger = enumerate_tuples(boxes, graph, STRICT, 2, measure=measure)
+    ledger = enumerate_tuples(boxes, STRICT, 2, measure=measure)
     assert [entry.indices for entry in ledger.entries(1)] == [(0,)]
     # closed mode keeps it
-    closed_graph = build_graph(boxes, CLOSED)
-    closed_ledger = enumerate_tuples(boxes, closed_graph, CLOSED, 2)
+    closed_ledger = enumerate_tuples(boxes, CLOSED, 2)
     assert len(closed_ledger.entries(1)) == 2
     assert [entry.indices for entry in closed_ledger.entries(2)] == [(0, 1)]
 
@@ -188,8 +185,7 @@ def test_clique_extension_matches_brute_force():
     for _ in range(40):
         boxes, _ = random_instance(rng, max_events=12, max_dim=4)
         for mode in (STRICT, CLOSED):
-            graph = build_graph(boxes, mode)
-            ledger = enumerate_tuples(boxes, graph, mode, len(boxes))
+            ledger = enumerate_tuples(boxes, mode, len(boxes))
             for order in range(1, len(boxes) + 1):
                 expected = brute_force_tuples(boxes, mode, order)
                 got = [entry.indices for entry in ledger.entries(order)]
@@ -260,12 +256,6 @@ def test_graph_validation():
         IntersectionGraph(2, frozenset({(0, 2)}))
 
 
-def test_enumerate_tuples_graph_mismatch(ex1):
-    boxes, _ = ex1
-    with pytest.raises(InputError):
-        enumerate_tuples(boxes, IntersectionGraph(3, frozenset()), STRICT, 2)
-
-
 def test_to_dot(ex2):
     boxes, _ = ex2
     graph = build_graph(boxes, STRICT)
@@ -280,8 +270,7 @@ def test_to_dot(ex2):
 
 def test_order_sum_requires_measure(ex1):
     boxes, _ = ex1
-    graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 2)
+    ledger = enumerate_tuples(boxes, STRICT, 2)
     with pytest.raises(InputError):
         ledger.order_sum(2)
 
@@ -289,7 +278,7 @@ def test_order_sum_requires_measure(ex1):
 def test_order_sums_match_manual_totals(ex1):
     boxes, measure = ex1
     graph = build_graph(boxes, STRICT)
-    ledger = enumerate_tuples(boxes, graph, STRICT, 5, measure=measure)
+    ledger = enumerate_tuples(boxes, STRICT, 5, measure=measure)
     s2 = fsum(
         measure.rect_probability(*meet_vertices([boxes[i], boxes[j]]))
         for i, j in sorted(graph.edges)
@@ -396,7 +385,7 @@ def test_enumerate_tuples_matches_brute_force(boxes, mode, max_order, measure_ki
     measure = None
     if boxes and measure_kind:
         measure = _ledger_measures(boxes[0].dimension)[measure_kind - 1]
-    ledger = enumerate_tuples(boxes, build_graph(boxes, mode), mode, max_order, measure)
+    ledger = enumerate_tuples(boxes, mode, max_order, measure)
     got = [
         (k, entry.indices, entry.box.id, repr(entry.box.lower), repr(entry.box.upper),
          repr(entry.probability))
@@ -419,12 +408,58 @@ def test_enumerate_tuples_stops_at_the_term_budget():
     boxes = [Box(f"A{i}", (0.0, 0.0), (1.0, 1.0)) for i in range(22)]
     graph = build_graph(boxes, STRICT)
     with pytest.raises(InputError, match="budget"):
-        enumerate_tuples(boxes, graph, STRICT, len(boxes))
+        enumerate_tuples(boxes, STRICT, len(boxes))
     with pytest.raises(InputError, match="budget"):
         clique_number(graph)
-    below = enumerate_tuples(boxes, graph, STRICT, 7)
+    below = enumerate_tuples(boxes, STRICT, 7)
     assert below.term_count() == sum(comb(22, k) for k in range(1, 8))
     assert below.term_count() < TERM_BUDGET
+
+
+def test_walk_memory_stays_within_the_mask_budget():
+    # 600 identical boxes keep all 179,700 pairs; the candidate masks of
+    # order 3 would take 3 * 179,700 * 600 bytes (323 MB) to gather.
+    boxes = [Box(f"A{i}", (0.0,), (1.0,)) for i in range(600)]
+    assert 3 * comb(600, 2) * 600 > MASK_BYTE_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="budget"):
+            enumerate_tuples(boxes, STRICT, len(boxes))
+        uncapped_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # The last order of a capped walk gathers no mask at all.
+        pairs = enumerate_tuples(boxes, STRICT, 2)
+        capped_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert uncapped_peak < 64 * 2**20
+    assert len(pairs.levels[2].indices) == 179_700
+    assert capped_peak < 32 * 2**20
+
+
+# A non-monotone CDF would give the measure-zero meet of boxes that end
+# and start one ULP apart at a knot a positive probability.
+ULP_CDF = PiecewiseCdf(ULP_KNOTS, ULP_VALUES)
+ULP_BELOW_KNOT = float(np.nextafter(ULP_KNOTS[2], 0.0))
+
+
+@given(box_lists(), st.integers(1, 6), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+@example([Box("A", (0.0,), (ULP_BELOW_KNOT,)), Box("B", (ULP_KNOTS[2],), (11.0,))], 2, 3)
+@example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], 2, 1)
+@example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, 4, 2)
+def test_boolean_system_matches_brute_force(boxes, m, measure_kind):
+    assume(boxes)
+    m = min(m, len(boxes))
+    dim = boxes[0].dimension
+    measure = (*_ledger_measures(dim), ProductMeasure((ULP_CDF,) * dim))[measure_kind - 1]
+    system = boolean_system_from_boxes(boxes, measure, m)
+    expected = [
+        (combo, repr(measure.rect_probability(*meet_vertices([boxes[i] for i in combo]))))
+        for k in range(1, m + 1)
+        for combo in combinations(range(len(boxes)), k)
+    ]
+    assert [(tuple(sorted(key)), repr(p)) for key, p in system.p.items()] == expected
 
 
 @given(st.integers(0, 9), st.data())
