@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, isfinite
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,34 +40,43 @@ _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 _ATOM_CAP = 12  # Boolean LP has 2^N variables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min or max of objective . x subject to a_eq x = b_eq, x >= 0."""
+    """min or max of objective . x subject to a_eq x = b_eq, x >= 0.
 
-    objective: tuple[float, ...]
+    Any nested sequence of numbers is accepted; the data are stored as
+    read-only float64 copies of shapes (n,), (rows, n) and (rows,).
+    Problems compare by identity, as arrays have no single truth value.
+    """
+
+    objective: np.ndarray
     sense: str
-    a_eq: tuple[tuple[float, ...], ...]
-    b_eq: tuple[float, ...]
+    a_eq: np.ndarray
+    b_eq: np.ndarray
 
     def __post_init__(self) -> None:
-        objective = tuple(float(v) for v in self.objective)
-        a_eq = tuple(tuple(float(v) for v in row) for row in self.a_eq)
-        b_eq = tuple(float(v) for v in self.b_eq)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
+        objective = np.array(self.objective, dtype=float)
+        b_eq = np.array(self.b_eq, dtype=float)
+        try:
+            a_eq = np.array(self.a_eq, dtype=float)
+        except ValueError:  # ragged rows
+            a_eq = None
         if self.sense not in ("min", "max"):
             raise InputError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if not objective:
+        if not objective.size:
             raise InputError("objective must have at least one variable")
-        if len(a_eq) != len(b_eq):
+        if len(self.a_eq) != len(b_eq):
             raise InputError("constraint matrix and right-hand side disagree")
-        for row in a_eq:
-            if len(row) != len(objective):
-                raise InputError("constraint row length does not match objective")
-        entries = [*objective, *b_eq, *(v for row in a_eq for v in row)]
-        if not all(isfinite(v) for v in entries):
+        shape = (len(b_eq), len(objective))
+        if a_eq is not None and not shape[0]:  # no rows: () has shape (0,)
+            a_eq = a_eq.reshape(shape)
+        if a_eq is None or a_eq.shape != shape:
+            raise InputError("constraint row length does not match objective")
+        if not all(np.isfinite(data).all() for data in (objective, a_eq, b_eq)):
             raise InputError("LP data must be finite")
+        for name, data in (("objective", objective), ("a_eq", a_eq), ("b_eq", b_eq)):
+            data.flags.writeable = False
+            object.__setattr__(self, name, data)
 
     @property
     def n_vars(self) -> int:
@@ -75,7 +84,7 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.a_eq)
+        return len(self.b_eq)
 
 
 @dataclass(frozen=True)
@@ -303,9 +312,7 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
 def solve_lp(problem: LpProblem) -> LpResult:
     """Solve the LP; statuses 'infeasible' and 'unbounded' are returned, never
     silently swallowed."""
-    c = np.array(problem.objective, dtype=float)
-    a = np.array(problem.a_eq, dtype=float).reshape(problem.n_rows, problem.n_vars)
-    b = np.array(problem.b_eq, dtype=float)
+    c, a, b = problem.objective, problem.a_eq, problem.b_eq
     if problem.sense == "min":
         return _simplex_min(c, a, b)
     result = _simplex_min(-c, a, b)
@@ -319,42 +326,49 @@ def solve_lp(problem: LpProblem) -> LpResult:
 
 
 def _solve_pair(
-    objective: Sequence[float],
-    rows: Sequence[Sequence[float]],
-    rhs: Sequence[float],
-    method: str,
+    counts: np.ndarray, lo: int, hi: int, a_eq: np.ndarray, b_eq: np.ndarray, method: str
 ) -> BoundPair:
-    low = solve_lp(LpProblem(tuple(objective), "min", tuple(rows), tuple(rhs)))
-    if low.status != "optimal":
-        raise InfeasibleBoundsError(
-            f"{method}: no distribution matches the supplied data ({low.status})", low
-        )
-    high = solve_lp(LpProblem(tuple(objective), "max", tuple(rows), tuple(rhs)))
-    if high.status != "optimal":
-        raise InfeasibleBoundsError(
-            f"{method}: no distribution matches the supplied data ({high.status})", high
-        )
-    return BoundPair(low.value, high.value, method)
+    """Min and max of the mass on variables whose count lies in lo..hi."""
+    objective = ((counts >= lo) & (counts <= hi)).astype(float)
+    values = []
+    for sense in ("min", "max"):
+        result = solve_lp(LpProblem(objective, sense, a_eq, b_eq))
+        if result.status != "optimal":
+            raise InfeasibleBoundsError(
+                f"{method}: no distribution matches the supplied data ({result.status})",
+                result,
+            )
+        values.append(result.value)
+    return BoundPair(*values, method)
 
 
-def _moment_rows(moments: MomentVector, m: int, include_p0: bool):
-    """Equality rows sum_i C(i, k) p_i = S_k for k up to m.
+def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = None):
+    """Equality rows sum_i C(i, k) p_i = S_k over p_start..p_N, k = start..m.
 
-    Variables are p_0..p_N with the S_0 = 1 row when include_p0 is set,
-    otherwise p_1..p_N with rows starting at k = 1.
+    start 0 brings p_0 and the S_0 = 1 row.  A given q puts the union row
+    sum_i p_i = q, which is the k = 0 row with q for S_0, first.
     """
-    n = moments.n_events
-    start = 0 if include_p0 else 1
-    rows = []
-    rhs = []
-    for k in range(start, m + 1):
-        rows.append(tuple(float(comb(i, k)) for i in range(start, n + 1)))
-        rhs.append(moments.s_k(k))
-    return rows, rhs, start
+    orders = range(start if q is None else 0, m + 1)
+    counts = range(start, moments.n_events + 1)
+    a_eq = np.array([[comb(i, k) for i in counts] for k in orders], dtype=float)
+    b_eq = np.array([moments.s_k(k) for k in orders])
+    if q is not None:
+        b_eq[0] = q
+    return a_eq, b_eq
 
 
-def _indicator(start: int, n: int, lo: int, hi: int) -> tuple[float, ...]:
-    return tuple(1.0 if lo <= i <= hi else 0.0 for i in range(start, n + 1))
+def _moment_pair(
+    moments: MomentVector,
+    m: int,
+    start: int,
+    lo: int,
+    hi: int,
+    method: str,
+    q: float | None = None,
+) -> BoundPair:
+    """Bounds on P(lo <= count <= hi) from the moment rows over p_start..p_N."""
+    counts = np.arange(start, moments.n_events + 1)
+    return _solve_pair(counts, lo, hi, *_moment_rows(moments, m, start, q), method)
 
 
 def _resolve_order(moments: MomentVector, m: int | None, default: int | None = None) -> int:
@@ -378,10 +392,8 @@ def union_bounds(
     if moments.n_events < 1:
         raise InputError("need at least one event")
     m = _resolve_order(moments, m)
-    rows, rhs, start = _moment_rows(moments, m, include_p0)
-    objective = _indicator(start, moments.n_events, 1, moments.n_events)
     label = f"moment-p0(m={m})" if include_p0 else f"moment(m={m})"
-    return _solve_pair(objective, rows, rhs, label)
+    return _moment_pair(moments, m, 0 if include_p0 else 1, 1, moments.n_events, label)
 
 
 def atleast_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
@@ -390,9 +402,7 @@ def atleast_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> Bou
     if not 1 <= r <= n:
         raise InputError(f"r={r} out of range 1..{n}")
     m = _resolve_order(moments, m)
-    rows, rhs, start = _moment_rows(moments, m, include_p0=True)
-    objective = _indicator(start, n, r, n)
-    return _solve_pair(objective, rows, rhs, f"moment-p0(m={m})")
+    return _moment_pair(moments, m, 0, r, n, f"moment-p0(m={m})")
 
 
 def exactly_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
@@ -401,20 +411,7 @@ def exactly_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> Bou
     if not 0 <= r <= n:
         raise InputError(f"r={r} out of range 0..{n}")
     m = _resolve_order(moments, m)
-    rows, rhs, start = _moment_rows(moments, m, include_p0=True)
-    objective = _indicator(start, n, r, r)
-    return _solve_pair(objective, rows, rhs, f"moment-p0(m={m})")
-
-
-def _q_rows(moments: MomentVector, m: int, q: float):
-    """Moment rows over p_1..p_N with the union total as an extra equality."""
-    n = moments.n_events
-    rows = [tuple(1.0 for _ in range(1, n + 1))]
-    rhs = [q]
-    for k in range(1, m + 1):
-        rows.append(tuple(float(comb(i, k)) for i in range(1, n + 1)))
-        rhs.append(moments.s_k(k))
-    return rows, rhs
+    return _moment_pair(moments, m, 0, r, r, f"moment-p0(m={m})")
 
 
 def _resolve_q(moments: MomentVector, q: float | None) -> float:
@@ -440,9 +437,7 @@ def q_atleast_bounds(
         raise InputError(f"r={r} out of range 1..{n}")
     q = _resolve_q(moments, q)
     m = _resolve_order(moments, m, default=3)
-    rows, rhs = _q_rows(moments, m, q)
-    objective = _indicator(1, n, r, n)
-    return _solve_pair(objective, rows, rhs, f"q-moment(m={m})")
+    return _moment_pair(moments, m, 1, r, n, f"q-moment(m={m})", q)
 
 
 def q_exactly_bounds(
@@ -458,9 +453,7 @@ def q_exactly_bounds(
         raise InputError(f"r={r} out of range 1..{n} (no p_0 in this layout)")
     q = _resolve_q(moments, q)
     m = _resolve_order(moments, m, default=3)
-    rows, rhs = _q_rows(moments, m, q)
-    objective = _indicator(1, n, r, r)
-    return _solve_pair(objective, rows, rhs, f"q-moment(m={m})")
+    return _moment_pair(moments, m, 1, r, r, f"q-moment(m={m})", q)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +548,12 @@ def boolean_system_from_boxes(
     return BooleanSystem(n, m, p)
 
 
+def check_atom_cap(n_events: int) -> None:
+    """Reject an atom LP over more than 2^_ATOM_CAP occurrence patterns."""
+    if n_events > _ATOM_CAP:
+        raise InputError(f"event count {n_events} above the 2^N atom cap ({_ATOM_CAP})")
+
+
 def boolean_lp_bounds(
     system: BooleanSystem, target: str, r: int | None = None
 ) -> BoundPair:
@@ -566,35 +565,29 @@ def boolean_lp_bounds(
     (|J| = r).
     """
     n = system.n_events
-    if n > _ATOM_CAP:
-        raise InputError(f"event count {n} above the 2^N atom cap ({_ATOM_CAP})")
-    n_atoms = 1 << n
-
+    check_atom_cap(n)
     if target == "union":
         if r is not None:
             raise InputError("r is meaningless for the union target")
-        selected = [mask != 0 for mask in range(n_atoms)]
+        lo, hi = 1, n
     elif target == "atleast":
         if r is None or not 1 <= r <= n:
             raise InputError(f"atleast target needs r in 1..{n}")
-        selected = [mask.bit_count() >= r for mask in range(n_atoms)]
+        lo, hi = r, n
     elif target == "exactly":
         if r is None or not 0 <= r <= n:
             raise InputError(f"exactly target needs r in 0..{n}")
-        selected = [mask.bit_count() == r for mask in range(n_atoms)]
+        lo, hi = r, r
     else:
         raise InputError(f"unknown target {target!r}")
 
-    rows = [tuple(1.0 for _ in range(n_atoms))]
-    rhs = [1.0]
-    for k in range(1, system.m + 1):
-        for combo in combinations(range(n), k):
-            i_mask = 0
-            for i in combo:
-                i_mask |= 1 << i
-            rows.append(
-                tuple(1.0 if mask & i_mask == i_mask else 0.0 for mask in range(n_atoms))
-            )
-            rhs.append(system.p[frozenset(combo)])
-    objective = tuple(1.0 if sel else 0.0 for sel in selected)
-    return _solve_pair(objective, rows, rhs, f"boolean(m={system.m})")
+    # Row order is the simplex's pivot order: total mass, then the subsets
+    # by size and lexicographically within a size.  Atom J lies in the row
+    # of I when J contains I; the singleton rows add up to |J|.
+    subsets = [c for k in range(1, system.m + 1) for c in combinations(range(n), k)]
+    masks = np.array([sum(1 << i for i in subset) for subset in subsets])[:, None]
+    incidence = (np.arange(1 << n) & masks) == masks
+    a_eq = np.vstack([np.ones(1 << n), incidence])
+    b_eq = np.array([1.0, *(system.p[frozenset(subset)] for subset in subsets)])
+    sizes = incidence[:n].sum(axis=0)
+    return _solve_pair(sizes, lo, hi, a_eq, b_eq, f"boolean(m={system.m})")

@@ -17,6 +17,7 @@ from .bounding import (
     atleast_r_bounds,
     boolean_lp_bounds,
     boolean_system_from_boxes,
+    check_atom_cap,
     exactly_r_bounds,
     hunter_worsley_upper,
     q_atleast_bounds,
@@ -383,6 +384,8 @@ def _cmd_bounds(args):
             raise _fail("--method boolean needs geometry input")
         if args.with_q:
             raise _fail("--with-q does not apply to the boolean method")
+        if 1 <= m <= n:  # boolean_system_from_boxes reports any other m first
+            check_atom_cap(n)
         system = boolean_system_from_boxes(problem.boxes, problem.measure, m)
         result = boolean_lp_bounds(system, target, r)
     else:  # hunter-worsley

@@ -249,17 +249,18 @@ def _later_neighbours(graph: IntersectionGraph) -> np.ndarray:
     return later
 
 
-def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, admit=None):
+def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, extend=None):
     """Cliques of orders 1..cap whose smallest vertex is one of the roots.
 
     Yields one ``(F, k)`` index array per nonempty order k, rows in
     lexicographic order.  Each row keeps a mask of the later vertices
     adjacent to all of its members; order k+1 extends row f by every such
     vertex w in row-major order, which keeps the rows lexicographic.
-    ``admit(f, w)``, when given, returns a boolean mask of the extensions
-    to keep.  The last order of a capped walk gathers no mask.  Stops with
-    an InputError before an order whose candidates would take the walk
-    past TERM_BUDGET terms, or before a mask gather past MASK_BYTE_BUDGET.
+    ``extend(f, w)``, when given, is called with the parent rows and the
+    added vertices of each new order before it is yielded.  The last order
+    of a capped walk gathers no mask.  Stops with an InputError before an
+    order whose candidates would take the walk past TERM_BUDGET terms, or
+    before a mask gather past MASK_BYTE_BUDGET.
     """
     indices = roots[:, None]
     cand = later[roots]
@@ -278,9 +279,8 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, admit=None):
                 f"exceed the budget of {TERM_BUDGET}"
             )
         f, w = np.nonzero(cand)
-        if admit is not None:
-            keep = admit(f, w)
-            f, w = f[keep], w[keep]
+        if extend is not None:
+            extend(f, w)
         indices = np.column_stack((indices[f], w))
         if k + 1 == cap:
             continue
@@ -328,14 +328,17 @@ def enumerate_tuples(
     """All index tuples of order <= max_order with nonempty intersection.
 
     One screened walk: the pair test fills the later-neighbour mask, and
-    candidates at order k extend surviving (k-1)-tuples by neighbours
-    common to every member, each confirmed with the k-wise vertex test.
-    max_order above the event count is clamped.  With a measure given,
-    each order carries its intersection probabilities; every tuple the
-    walk leaves out has probability exactly 0.0 under POSITIVE_MEASURE.
-    Whole orders are built at once; the meet picks each vertex with the
-    comparison Python's max/min make, as in _pair_pass.  Raises InputError
-    when the walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    order k extends the surviving (k-1)-tuples by neighbours common to
+    every member.  The extensions need no k-wise re-test: max and min do
+    not round, so a meet passes the vertex test exactly when every
+    member's lower vertex passes it against every member's upper one,
+    which the singleton and pair tests have checked.  max_order above the
+    event count is clamped.  With a measure given, each order carries its
+    intersection probabilities; every tuple the walk leaves out has
+    probability exactly 0.0 under POSITIVE_MEASURE.  Whole orders are
+    built at once; the meet picks each vertex with the comparison Python's
+    max/min make, as in _pair_pass.  Raises InputError when the walk would
+    exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     n = len(boxes)
     lowers, uppers = _vertex_arrays(boxes)
@@ -356,15 +359,12 @@ def enumerate_tuples(
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
 
-    def admit(f, w):
+    def meet(f, w):
         nonlocal lower, upper
-        new_lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
-        new_upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
-        keep = test(new_lower, new_upper).all(axis=1)
-        lower, upper = new_lower[keep], new_upper[keep]
-        return keep
+        lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
+        upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
 
-    for k, indices in enumerate(_clique_levels(later, roots, cap, admit), 1):
+    for k, indices in enumerate(_clique_levels(later, roots, cap, meet), 1):
         probability = None if measure is None else measure.rect_probabilities(lower, upper)
         levels[k] = LedgerOrder(indices, lower, upper, probability)
     return TupleLedger(n, ids, levels)

@@ -1,10 +1,12 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxbounds import bounding
 from boxbounds.bounding import (
     BooleanSystem,
     BoundPair,
@@ -21,6 +23,7 @@ from boxbounds.bounding import (
     solve_lp,
     union_bounds,
 )
+from boxbounds.bounding import _moment_rows
 from boxbounds.errors import InfeasibleBoundsError, InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import ProductMeasure
@@ -74,6 +77,65 @@ def test_solve_lp_validation():
         LpProblem((1.0,), "min", ((1.0, 2.0),), (1.0,))
     with pytest.raises(InputError):
         LpProblem((float("inf"),), "min", ((1.0,),), (1.0,))
+
+
+def test_zero_row_problem_solves():
+    result = solve_lp(LpProblem((1.0,), "min", (), ()))
+    assert (result.status, result.value, result.solution) == ("optimal", 0.0, (0.0,))
+    assert solve_lp(LpProblem((1.0,), "max", (), ())).status == "unbounded"
+    problem = LpProblem(np.ones(2), "min", np.zeros((0, 2)), np.zeros(0))
+    assert (problem.n_rows, problem.n_vars, problem.a_eq.shape) == (0, 2, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((1.0,), "maximize", ((1.0,),), (1.0,)), "sense must be 'min' or 'max'"),
+        (((), "min", (), ()), "objective must have at least one variable"),
+        (((1.0,), "min", ((1.0,),), (1.0, 2.0)), "right-hand side disagree"),
+        (((1.0,), "min", ((1.0,), (1.0,)), (1.0,)), "right-hand side disagree"),
+        (((1.0, 2.0), "min", ((1.0, 2.0), (1.0,)), (1.0, 1.0)), "row length"),
+        (((1.0, 2.0), "min", ((1.0,), (1.0, 2.0)), (1.0, 1.0)), "row length"),
+        (((1.0,), "min", ((1.0, 2.0),), (1.0,)), "row length"),
+        (((1.0,), "min", ((),), (1.0,)), "row length"),
+        (((1.0,), "min", (1.0,), (1.0,)), "row length"),
+    ],
+)
+def test_lp_problem_rejects_malformed_data(args, message):
+    with pytest.raises(InputError, match=message):
+        LpProblem(*args)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_lp_problem_rejects_non_finite_data(bad):
+    with pytest.raises(InputError, match="LP data must be finite"):
+        LpProblem((bad, 1.0), "min", ((1.0, 1.0),), (1.0,))
+    with pytest.raises(InputError, match="LP data must be finite"):
+        LpProblem((1.0, 1.0), "min", ((1.0, 1.0), (0.0, bad)), (1.0, 0.5))
+    with pytest.raises(InputError, match="LP data must be finite"):
+        LpProblem((1.0, 1.0), "min", ((1.0, 1.0),), (bad,))
+
+
+def test_lp_problem_stores_read_only_float_copies():
+    objective = np.array([1, 2])
+    a_eq = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b_eq = [1, 0.5]
+    problem = LpProblem(objective, "max", a_eq, b_eq)
+    objective[0] = a_eq[0, 0] = 9
+    b_eq[0] = 9.0
+    for stored, expected in (
+        (problem.objective, [1.0, 2.0]),
+        (problem.a_eq, [[1.0, 1.0], [0.0, 1.0]]),
+        (problem.b_eq, [1.0, 0.5]),
+    ):
+        assert stored.dtype == np.float64
+        assert stored.tolist() == expected
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+    assert (problem.n_rows, problem.n_vars) == (2, 2)
+    assert problem == problem
+    assert problem != LpProblem(objective, "max", a_eq, b_eq)
 
 
 def test_three_event_two_moment_instance_against_vertex_enumeration():
@@ -472,6 +534,135 @@ def test_boolean_inconsistent_probabilities_raise():
 
 
 # ---------------------------------------------------------------------------
+# array assembly against the tuple assembly it replaced
+
+
+def _tuple_moment_rows(moments, m, include_p0):
+    n = moments.n_events
+    start = 0 if include_p0 else 1
+    rows = []
+    rhs = []
+    for k in range(start, m + 1):
+        rows.append(tuple(float(comb(i, k)) for i in range(start, n + 1)))
+        rhs.append(moments.s_k(k))
+    return rows, rhs, start
+
+
+def _tuple_q_rows(moments, m, q):
+    n = moments.n_events
+    rows = [tuple(1.0 for _ in range(1, n + 1))]
+    rhs = [q]
+    for k in range(1, m + 1):
+        rows.append(tuple(float(comb(i, k)) for i in range(1, n + 1)))
+        rhs.append(moments.s_k(k))
+    return rows, rhs
+
+
+def _tuple_indicator(start, n, lo, hi):
+    return tuple(1.0 if lo <= i <= hi else 0.0 for i in range(start, n + 1))
+
+
+def _tuple_boolean_rows(system):
+    n_atoms = 1 << system.n_events
+    rows = [tuple(1.0 for _ in range(n_atoms))]
+    rhs = [1.0]
+    for k in range(1, system.m + 1):
+        for combo in combinations(range(system.n_events), k):
+            i_mask = 0
+            for i in combo:
+                i_mask |= 1 << i
+            rows.append(
+                tuple(1.0 if mask & i_mask == i_mask else 0.0 for mask in range(n_atoms))
+            )
+            rhs.append(system.p[frozenset(combo)])
+    return rows, rhs
+
+
+@pytest.fixture
+def recorded_lps(monkeypatch):
+    """The LpProblems handed to solve_lp, each answered with value 0."""
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return LpResult(status="optimal", value=0.0)
+
+    monkeypatch.setattr(bounding, "solve_lp", record)
+    return problems
+
+
+def _assert_bitwise(got, want):
+    want = np.array(want, dtype=float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_solved(problems, objective, rows, rhs):
+    """One min and one max solve, both on the float64 data of the tuples."""
+    assert [problem.sense for problem in problems] == ["min", "max"]
+    for problem in problems:
+        _assert_bitwise(problem.objective, objective)
+        _assert_bitwise(problem.a_eq, rows)
+        _assert_bitwise(problem.b_eq, rhs)
+    problems.clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 64, 70])
+def test_moment_lps_match_the_tuple_assembly(n, recorded_lps):
+    assert comb(70, 35) > 2**63  # the largest entries take float rounding
+    rng = np.random.default_rng(n)
+    q = float(rng.random())
+    moments = MomentVector(n, tuple(rng.random(n) * 10.0 ** rng.integers(0, 20, n)), q)
+    rs = sorted({1, max(1, n // 3), n})
+    for m in sorted({1, min(3, n), max(1, n // 2), n}):
+        for include_p0 in (False, True):
+            rows, rhs, start = _tuple_moment_rows(moments, m, include_p0)
+            a_eq, b_eq = _moment_rows(moments, m, start)
+            _assert_bitwise(a_eq, rows)
+            _assert_bitwise(b_eq, rhs)
+            union_bounds(moments, m, include_p0)
+            _assert_solved(recorded_lps, _tuple_indicator(start, n, 1, n), rows, rhs)
+        rows, rhs, _ = _tuple_moment_rows(moments, m, True)
+        for r in rs:
+            atleast_r_bounds(moments, r, m)
+            _assert_solved(recorded_lps, _tuple_indicator(0, n, r, n), rows, rhs)
+        for r in [0, *rs]:
+            exactly_r_bounds(moments, r, m)
+            _assert_solved(recorded_lps, _tuple_indicator(0, n, r, r), rows, rhs)
+        rows, rhs = _tuple_q_rows(moments, m, q)
+        a_eq, b_eq = _moment_rows(moments, m, 1, q)
+        _assert_bitwise(a_eq, rows)
+        _assert_bitwise(b_eq, rhs)
+        for r in rs:
+            q_atleast_bounds(moments, r, m)
+            _assert_solved(recorded_lps, _tuple_indicator(1, n, r, n), rows, rhs)
+            q_exactly_bounds(moments, r, m)
+            _assert_solved(recorded_lps, _tuple_indicator(1, n, r, r), rows, rhs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boolean_lp_matches_the_tuple_assembly(n, recorded_lps):
+    rng = np.random.default_rng(100 + n)
+    marginals = rng.random(n)
+    for m in range(1, n + 1):
+        p = {
+            frozenset(combo): float(np.prod(marginals[list(combo)]))
+            for k in range(1, m + 1)
+            for combo in combinations(range(n), k)
+        }
+        system = BooleanSystem(n, m, p)
+        rows, rhs = _tuple_boolean_rows(system)
+        sizes = [bin(mask).count("1") for mask in range(1 << n)]
+        targets = [("union", None, 1, n)]
+        targets += [("atleast", r, r, n) for r in range(1, n + 1)]
+        targets += [("exactly", r, r, r) for r in range(n + 1)]
+        for target, r, lo, hi in targets:
+            boolean_lp_bounds(system, target, r)
+            objective = tuple(1.0 if lo <= size <= hi else 0.0 for size in sizes)
+            _assert_solved(recorded_lps, objective, rows, rhs)
+
+
+# ---------------------------------------------------------------------------
 # cross-cutting properties
 
 
@@ -526,14 +717,10 @@ def test_true_distribution_is_feasible_for_every_formulation():
     moments = binomial_moments(boxes, measure)
     p = np.array(dist.p)
     for m in range(1, min(4, n) + 1):
-        from boxbounds.bounding import _moment_rows, _q_rows  # noqa: PLC0415
-
-        rows, rhs, start = _moment_rows(moments, m, include_p0=True)
-        residual = np.abs(np.array(rows) @ p[start:] - np.array(rhs)).max()
-        assert residual <= TOL
-        rows, rhs = _q_rows(moments, m, moments.q)
-        residual = np.abs(np.array(rows) @ p[1:] - np.array(rhs)).max()
-        assert residual <= TOL
+        a_eq, b_eq = _moment_rows(moments, m, 0)
+        assert np.abs(a_eq @ p - b_eq).max() <= TOL
+        a_eq, b_eq = _moment_rows(moments, m, 1, moments.q)
+        assert np.abs(a_eq @ p[1:] - b_eq).max() <= TOL
 
 
 def test_bound_pair_rejects_inverted_bounds():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from boxbounds import cli
 from boxbounds.bounding import hunter_worsley_upper, pairwise_probabilities
 from boxbounds.cli import run
 from boxbounds.geometry import EmptinessMode
@@ -307,3 +308,27 @@ def test_term_budget_exits_with_input_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "budget" in err
+
+
+def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, monkeypatch):
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [13]},
+        "boxes": [{"id": f"A{i}", "lower": [i], "upper": [i + 1]} for i in range(13)],
+    }
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(doc))
+    argv = ("bounds", str(path), "--method", "boolean")
+
+    # An out-of-range m is still reported ahead of the cap.
+    code, out, err = _invoke(capsys, *argv, "--m", "14")
+    assert (code, out) == (1, "")
+    assert err == "error: order m=14 out of range 1..13\n"
+
+    def unreachable(*args):
+        pytest.fail("the Boolean system was built for an LP above the atom cap")
+
+    monkeypatch.setattr(cli, "boolean_system_from_boxes", unreachable)
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: event count 13 above the 2^N atom cap (12)\n"

@@ -1,9 +1,12 @@
 """Byte-for-byte replay of recorded CLI stdout on both fixtures.
 
 Every subcommand runs in both output formats and, where it takes one, in
-both ``--mode`` values.  The recorded outputs live in
-``tests/golden/cli_stdout.json``; regenerate them only for an intended
-output change, with
+both ``--mode`` values.  The moment LPs also run on two moments files in
+``tests/golden/``: N = 20 with S_1..S_16 and N = 60 with S_1..S_3, the
+binomial moments and union of a count distribution drawn as
+``default_rng(N).dirichlet(np.full(N + 1, 0.7))``.  The recorded outputs
+live in ``tests/golden/cli_stdout.json``; regenerate them only for an
+intended output change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -38,7 +41,13 @@ GEOMETRY_COMMANDS = (
     ("bounds", "--m", "2", "--with-q"),
     ("bounds", "--target", "atleast", "--r", "2"),
     ("bounds", "--target", "exactly", "--r", "1"),
+    ("bounds", "--with-q", "--target", "exactly", "--r", "2"),
     ("bounds", "--method", "boolean", "--m", "2"),
+    ("bounds", "--method", "boolean", "--m", "3"),
+    ("bounds", "--method", "boolean", "--m", "2", "--target", "atleast", "--r", "2"),
+    ("bounds", "--method", "boolean", "--m", "3", "--target", "atleast", "--r", "3"),
+    ("bounds", "--method", "boolean", "--m", "2", "--target", "exactly", "--r", "1"),
+    ("bounds", "--method", "boolean", "--m", "3", "--target", "exactly", "--r", "2"),
     ("bounds", "--method", "hunter-worsley"),
 )
 ORACLE_COMMANDS = (
@@ -46,6 +55,20 @@ ORACLE_COMMANDS = (
     ("oracle", "--engine", "cells"),
     ("oracle", "--engine", "mc", "--samples", "20000", "--seed", "7"),
 )
+# Moments files with the --m besides the default and the r of their
+# atleast/exactly targets.
+MOMENTS = (("moments-n20-m16", "16", "5"), ("moments-n60-m3", "2", "15"))
+
+
+def moment_commands(m, r):
+    """Every bounds target, with and without --with-q, at two moment orders."""
+    targets = ((), ("--target", "atleast", "--r", r), ("--target", "exactly", "--r", r))
+    return [
+        ("bounds", *order, *q, *target)
+        for order in ((), ("--m", m))
+        for q in ((), ("--with-q",))
+        for target in targets
+    ]
 
 
 def cases():
@@ -59,12 +82,17 @@ def cases():
                     out.append([command, path, *rest, "--mode", mode, "--format", fmt])
             for command, *rest in ORACLE_COMMANDS:
                 out.append([command, path, *rest, "--format", fmt])
+    for name, m, r in MOMENTS:
+        path = f"tests/golden/{name}.json"
+        for fmt in FORMATS:
+            for command, *rest in moment_commands(m, r):
+                out.append([command, path, *rest, "--format", fmt])
     return [(" ".join(argv), argv) for argv in out]
 
 
 def invoke(argv):
     """Exit code and stdout of one CLI call with paths taken from the repo root."""
-    argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in argv]
+    argv = [str(ROOT / arg) if arg.endswith(".json") else arg for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
