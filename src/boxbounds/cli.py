@@ -11,6 +11,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from math import inf
+
+import numpy as np
 
 from .bounding import (
     BoundPair,
@@ -37,7 +42,7 @@ from .screening import (
     binomial_moments,
     build_graph,
     enumerate_tuples,
-    pair_verdicts,
+    screen_columns,
     screened_union,
     to_dot,
 )
@@ -193,14 +198,36 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _fmt_coord(value: float) -> str:
-    return format(value, "g")
+def _table_texts(values: np.ndarray) -> np.ndarray:
+    """Each float of an array in the table's "g" format, as an object array."""
+    texts = list(map(format, values.ravel().tolist(), repeat("g")))
+    return np.array(texts, dtype=object).reshape(values.shape)
 
 
-def _fmt_box(lower, upper) -> str:
-    left = ", ".join(_fmt_coord(v) for v in lower)
-    right = ", ".join(_fmt_coord(v) for v in upper)
-    return f"[({left}), ({right})]"
+def _json_texts(values: np.ndarray) -> np.ndarray:
+    """Each float of an array as json.dumps writes it, as an object array.
+
+    Box coordinates are never NaN, so only the infinities need json's names.
+    """
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    texts = np.array(texts, dtype=object).reshape(values.shape)
+    texts[values == inf] = "Infinity"
+    texts[values == -inf] = "-Infinity"
+    return texts
+
+
+def _columns(texts: np.ndarray, sep: str) -> list:
+    """The columns of a 2-D object array of strings, with sep between each two.
+
+    Zipped with other columns and joined, they give each row's strings
+    joined by sep, without a Python-level step per row.
+    """
+    columns = []
+    for c, column in enumerate(texts.T.tolist()):
+        if c:
+            columns.append(repeat(sep))
+        columns.append(column)
+    return columns
 
 
 def _order_name(k: int) -> str:
@@ -212,84 +239,114 @@ def _kv_table(pairs) -> str:
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs)
 
 
+def _screen_sections(boxes, pairs, ledger, max_order, texts):
+    """(order, members, lower, upper, nonempty) per listed order.
+
+    members is the ``(F, k)`` index array of the rows; lower and upper are
+    ``(F, d)`` object arrays of each row's coordinates rendered by
+    ``texts``.  Pair coordinates are rendered once per box and gathered by
+    meet source, so each keeps the sign of zero of the box that supplied it.
+    """
+    sections = []
+    if len(boxes) >= 2 and max_order >= 2:
+        columns = np.arange(boxes[0].dimension)
+        lower = texts(np.array([box.lower for box in boxes]))[pairs.lower_source, columns]
+        upper = texts(np.array([box.upper for box in boxes]))[pairs.upper_source, columns]
+        members = np.column_stack((pairs.first, pairs.second))
+        sections.append((2, members, lower, upper, pairs.nonempty.tolist()))
+    for k in sorted(ledger.levels):
+        if 3 <= k <= max_order:
+            level = ledger.levels[k]
+            lower, upper = texts(level.lower), texts(level.upper)
+            sections.append((k, level.indices, lower, upper, [True] * len(lower)))
+    return sections
+
+
+# The constant text around the fields of one row of the screen document,
+# and the separator of list items, as json.dumps(doc, indent=2) writes them.
+_JSON_ITEM = ",\n          "
+_JSON_ROW = (
+    '{\n        "label": "',
+    '",\n        "ids": [\n          ',
+    '\n        ],\n        "lower": [\n          ',
+    '\n        ],\n        "upper": [\n          ',
+    '\n        ],\n        "nonempty": ',
+    "\n      }",
+)
+
+
+def _screen_json(mode, ids, sections, terms_used, terms_full) -> str:
+    """The versioned screen document, equal to json.dumps(doc, indent=2)."""
+    encoded = np.array([encode_basestring_ascii(i) for i in ids], dtype=object)
+    inner = np.array([text[1:-1] for text in encoded], dtype=object)
+    head, *rest = _JSON_ROW
+    blocks = []
+    for k, members, lower, upper, nonempty in sections:
+        row_columns = (
+            chain([head], repeat(",\n      " + head)),
+            *_columns(inner[members], ""),
+            repeat(rest[0]),
+            *_columns(encoded[members], _JSON_ITEM),
+            repeat(rest[1]),
+            *_columns(lower, _JSON_ITEM),
+            repeat(rest[2]),
+            *_columns(upper, _JSON_ITEM),
+            repeat(rest[3]),
+            map(("false", "true").__getitem__, nonempty),
+            repeat(rest[4]),
+        )
+        rows = "".join(chain.from_iterable(zip(*row_columns)))
+        blocks.append(f'    "{k}": [\n      {rows}\n    ]')
+    orders = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+    return (
+        f'{{\n  "version": {JSON_VERSION},\n  "command": "screen",\n'
+        f'  "mode": {encode_basestring_ascii(mode.value)},\n  "n_events": {len(ids)},\n'
+        f'  "orders": {orders},\n  "terms_used": {terms_used},\n'
+        f'  "terms_full": {terms_full}\n}}'
+    )
+
+
+def _screen_table(ids, sections, terms_used, terms_full) -> str:
+    """The verdict tables, one per listed order, and the retained-term count."""
+    lines = []
+    for k, members, lower, upper, nonempty in sections:
+        cell_columns = (
+            *_columns(ids[members], ""),
+            repeat(" = [("),
+            *_columns(lower, ", "),
+            repeat("), ("),
+            *_columns(upper, ", "),
+            repeat(")]"),
+        )
+        cells = list(map("".join, zip(*cell_columns)))
+        width = max(map(len, cells))
+        lines.append(f"{_order_name(k).ljust(width)}  nonempty?")
+        verdicts = map(("no good", "yes").__getitem__, nonempty)
+        lines.extend(map("{}  {}".format, map(str.ljust, cells, repeat(width)), verdicts))
+        lines.append("")
+    lines.append(f"retained {terms_used} of {terms_full} inclusion-exclusion terms")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_screen(args):
+def _cmd_screen(args) -> str:
+    """The verdict listing, rendered from the pair and ledger columns."""
     problem = parse_geometry(load_document(args.file))
     mode = _resolve_mode(args, problem)
     boxes = problem.boxes
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
-    # The listing shows vertices only, so the ledger is built without a measure.
-    ledger = enumerate_tuples(boxes, mode, n)
-
-    # (order, [(label, indices, lower, upper, nonempty), ...]) per listed order
-    sections = []
-    if n >= 2 and max_order >= 2:
-        rows = pair_verdicts(boxes, mode)
-        sections.append(
-            (2, [(r.label, r.indices, r.lower, r.upper, r.nonempty) for r in rows])
-        )
-    for k in sorted(ledger.levels):
-        if k < 3 or k > max_order:
-            continue
-        level = ledger.levels[k]
-        sections.append(
-            (
-                k,
-                [
-                    ("".join(boxes[i].id for i in indices), indices, lower, upper, True)
-                    for indices, lower, upper in zip(
-                        level.indices.tolist(), level.lower.tolist(), level.upper.tolist()
-                    )
-                ],
-            )
-        )
-
-    terms_used = ledger.term_count()
-    terms_full = 2**n - 1
-    # Only the printed document is built: rendering every pair row of a
-    # few hundred boxes takes tens of milliseconds in either format.
+    pairs, ledger = screen_columns(boxes, mode)
+    ids = np.array([box.id for box in boxes], dtype=object)
+    terms = (ledger.term_count(), 2**n - 1)
     if args.format == "json":
-        orders_json = {
-            str(k): [
-                {
-                    "label": label,
-                    "ids": [boxes[i].id for i in indices],
-                    "lower": list(lower),
-                    "upper": list(upper),
-                    "nonempty": nonempty,
-                }
-                for label, indices, lower, upper, nonempty in rows
-            ]
-            for k, rows in sections
-        }
-        doc = {
-            "version": JSON_VERSION,
-            "command": "screen",
-            "mode": mode.value,
-            "n_events": n,
-            "orders": orders_json,
-            "terms_used": terms_used,
-            "terms_full": terms_full,
-        }
-        return doc, None
-
-    lines = []
-    for k, rows in sections:
-        cells = [
-            (f"{label} = {_fmt_box(lower, upper)}", nonempty)
-            for label, _, lower, upper, nonempty in rows
-        ]
-        width = max(len(text) for text, _ in cells)
-        lines.append(f"{_order_name(k).ljust(width)}  nonempty?")
-        for text, nonempty in cells:
-            lines.append(f"{text.ljust(width)}  {'yes' if nonempty else 'no good'}")
-        lines.append("")
-    lines.append(f"retained {terms_used} of {terms_full} inclusion-exclusion terms")
-    return None, "\n".join(lines)
+        sections = _screen_sections(boxes, pairs, ledger, max_order, _json_texts)
+        return _screen_json(mode, ids, sections, *terms)
+    sections = _screen_sections(boxes, pairs, ledger, max_order, _table_texts)
+    return _screen_table(ids, sections, *terms)
 
 
 def _cmd_union(args):
@@ -364,8 +421,12 @@ def _cmd_bounds(args):
     m = min(3, n if moments is None else moments.m) if args.m is None else args.m
 
     if args.method == "moment":
-        if problem is not None:
+        if problem is not None and (args.with_q or not 1 <= m <= n):
+            # q, or the m-range error naming S_1..S_N, needs the full walk
             moments = binomial_moments(problem.boxes, problem.measure, mode, n)
+        elif problem is not None:
+            ledger = enumerate_tuples(problem.boxes, mode, m, problem.measure)
+            moments = MomentVector(n, tuple(ledger.order_sum(k) for k in range(1, m + 1)))
         if args.with_q:
             effective_r = 1 if target == "union" else r
             if target == "exactly":
@@ -373,7 +434,8 @@ def _cmd_bounds(args):
             else:
                 pair = q_atleast_bounds(moments, effective_r, m)
         elif target == "union":
-            pair = union_bounds(moments, m)
+            # p_0 and its S_0 = 1 row keep the upper bound at most 1
+            pair = union_bounds(moments, m, include_p0=True)
         elif target == "atleast":
             pair = atleast_r_bounds(moments, r, m)
         else:
@@ -562,7 +624,7 @@ def run(argv=None) -> int:
         return 1
 
     try:
-        doc, table = _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -570,7 +632,10 @@ def run(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    print(json.dumps(doc, indent=2) if args.format == "json" else table)
+    if not isinstance(output, str):  # a pre-rendered string prints as it is
+        doc, table = output
+        output = json.dumps(doc, indent=2) if args.format == "json" else table
+    print(output)
     return 0
 
 

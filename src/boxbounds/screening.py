@@ -176,6 +176,23 @@ class TupleVerdict(NamedTuple):
     nonempty: bool
 
 
+class PairColumns(NamedTuple):
+    """Every index pair (i, j), i < j, as columns, rows in lexicographic order.
+
+    ``first``/``second`` are ``(P,)`` and hold i and j; ``nonempty`` is the
+    vertex test per pair.  ``lower_source``/``upper_source`` are ``(P, d)``
+    and name the box, i or j, whose coordinate the meet vertex takes, so
+    the meet of pair p is ``box[lower_source[p, c]].lower[c]`` over c, sign
+    of zero included.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    lower_source: np.ndarray
+    upper_source: np.ndarray
+    nonempty: np.ndarray
+
+
 def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
     """The lower and upper vertices of all boxes as two ``(N, d)`` arrays."""
     require_same_dimension(boxes)
@@ -187,27 +204,32 @@ def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
 def _pair_pass(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
     """Meet vertices and verdicts of every pair of the ``(N, d)`` vertices.
 
-    Yields ``(i, lower, upper, nonempty)`` per row i, where row k of the
-    ``(N-1-i, d)`` arrays ``lower``/``upper`` holds the candidate
-    intersection vertices of boxes i and i+1+k, and ``nonempty`` is the
-    vertex test per row.  Values equal those of meet_vertices: the vertex
-    is picked with the comparison Python's max/min make (the later box
-    only when strictly larger/smaller), so ties between 0.0 and -0.0 keep
-    the sign meet_vertices keeps, which np.maximum does not promise.
+    Yields ``(i, lower, upper, nonempty, lower_later, upper_later)`` per
+    row i, where row k of the ``(N-1-i, d)`` arrays ``lower``/``upper``
+    holds the candidate intersection vertices of boxes i and i+1+k, and
+    ``nonempty`` is the vertex test per row.  Values equal those of
+    meet_vertices: the vertex is picked with the comparison Python's
+    max/min make (the later box only when strictly larger/smaller), so
+    ties between 0.0 and -0.0 keep the sign meet_vertices keeps, which
+    np.maximum does not promise.  ``lower_later``/``upper_later`` are those
+    comparisons: True where the coordinate comes from box i+1+k, False
+    where it comes from box i.
     """
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     for i in range(len(lowers) - 1):
         rest_lower = lowers[i + 1 :]
         rest_upper = uppers[i + 1 :]
-        lower = np.where(rest_lower > lowers[i], rest_lower, lowers[i])
-        upper = np.where(rest_upper < uppers[i], rest_upper, uppers[i])
-        yield i, lower, upper, test(lower, upper).all(axis=1)
+        lower_later = rest_lower > lowers[i]
+        upper_later = rest_upper < uppers[i]
+        lower = np.where(lower_later, rest_lower, lowers[i])
+        upper = np.where(upper_later, rest_upper, uppers[i])
+        yield i, lower, upper, test(lower, upper).all(axis=1), lower_later, upper_later
 
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
     edges = []
-    for i, _, _, nonempty in _pair_pass(*_vertex_arrays(boxes), mode):
+    for i, _, _, nonempty, _, _ in _pair_pass(*_vertex_arrays(boxes), mode):
         edges.extend((i, j) for j in (np.flatnonzero(nonempty) + (i + 1)).tolist())
     return IntersectionGraph(len(boxes), frozenset(edges))
 
@@ -215,7 +237,7 @@ def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
     """One row per index pair, in lexicographic order, including failures."""
     rows = []
-    for i, lower, upper, nonempty in _pair_pass(*_vertex_arrays(boxes), mode):
+    for i, lower, upper, nonempty, _, _ in _pair_pass(*_vertex_arrays(boxes), mode):
         first = boxes[i].id
         for j, lo, hi, verdict in zip(
             range(i + 1, len(boxes)), lower.tolist(), upper.tolist(), nonempty.tolist()
@@ -346,15 +368,28 @@ def enumerate_tuples(
         raise InputError(
             f"boxes have dimension {lowers.shape[1]}, measure has {measure.dimension}"
         )
+    later = np.zeros((n, n), dtype=bool)
+    for i, _, _, nonempty, _, _ in _pair_pass(lowers, uppers, mode):
+        later[i, i + 1 :] = nonempty
+    return _walk(boxes, lowers, uppers, mode, later, max_order, measure)
+
+
+def _walk(
+    boxes: Sequence[Box],
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    mode: EmptinessMode,
+    later: np.ndarray,
+    max_order: int,
+    measure: ProductMeasure | None = None,
+) -> TupleLedger:
+    """The ledger of enumerate_tuples from a filled later-neighbour mask."""
+    n = len(boxes)
     cap = min(max_order, n)
     ids = tuple(box.id for box in boxes)
     levels: dict[int, LedgerOrder] = {}
     if cap < 1:
         return TupleLedger(n, ids, levels)
-
-    later = np.zeros((n, n), dtype=bool)
-    for i, _, _, nonempty in _pair_pass(lowers, uppers, mode):
-        later[i, i + 1 :] = nonempty
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
@@ -368,6 +403,32 @@ def enumerate_tuples(
         probability = None if measure is None else measure.rect_probabilities(lower, upper)
         levels[k] = LedgerOrder(indices, lower, upper, probability)
     return TupleLedger(n, ids, levels)
+
+
+def screen_columns(
+    boxes: Sequence[Box], mode: EmptinessMode
+) -> tuple[PairColumns, TupleLedger]:
+    """Every pair's verdict columns and the full ledger, from one pair pass.
+
+    The ledger is that of ``enumerate_tuples(boxes, mode, len(boxes))``,
+    built without a measure.  Raises InputError as enumerate_tuples does.
+    """
+    n = len(boxes)
+    lowers, uppers = _vertex_arrays(boxes)
+    later = np.zeros((n, n), dtype=bool)
+    first, second = np.triu_indices(n, 1)
+    lower_source = np.empty((len(first), lowers.shape[-1]), dtype=np.intp)
+    upper_source = np.empty_like(lower_source)
+    start = 0  # pairs (i, i+1..N-1) are rows start..stop-1
+    for i, _, _, nonempty, lower_later, upper_later in _pair_pass(lowers, uppers, mode):
+        later[i, i + 1 :] = nonempty
+        stop = start + len(nonempty)
+        rest = second[start:stop, None]
+        lower_source[start:stop] = np.where(lower_later, rest, i)
+        upper_source[start:stop] = np.where(upper_later, rest, i)
+        start = stop
+    pairs = PairColumns(first, second, lower_source, upper_source, later[first, second])
+    return pairs, _walk(boxes, lowers, uppers, mode, later, n)
 
 
 def _signed_total(ledger: TupleLedger) -> float:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from boxbounds.geometry import EmptinessMode
 from boxbounds.screening import binomial_moments
 
 from helpers import random_instance
+
+ROOT = Path(__file__).parent.parent
 
 
 def _invoke(capsys, *argv):
@@ -308,6 +311,43 @@ def test_term_budget_exits_with_input_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "budget" in err
+
+
+def test_moment_bounds_walk_only_to_m(capsys, tmp_path):
+    # The full walk of 22 identical intervals passes the term budget (see
+    # above); the moment bounds without q need only orders 1..m of it.
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [1]},
+        "boxes": [{"id": f"A{i}", "lower": [0], "upper": [1]} for i in range(22)],
+    }
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _invoke(capsys, "bounds", str(path), "--m", "2", "--format", "json")
+    assert code == 0
+    result = json.loads(out)
+    assert result["lower"] == pytest.approx(1.0) and result["upper"] == pytest.approx(1.0)
+    code, out, _ = _invoke(capsys, "bounds", str(path), "--target", "atleast", "--r", "22")
+    assert code == 0
+    for argv in (("--with-q",), ("--m", "0"), ("--m", "23")):
+        code, out, err = _invoke(capsys, "bounds", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert "budget" in err
+
+
+@pytest.mark.parametrize("m", [None, "1", "2"])
+@pytest.mark.parametrize(
+    "path",
+    ["fixtures/example1.json", "fixtures/example2.json",
+     "tests/golden/moments-n20-m16.json", "tests/golden/moments-n60-m3.json"],
+)
+def test_union_upper_bound_is_at_most_one(capsys, path, m):
+    argv = ["bounds", str(ROOT / path), "--format", "json"] + ([] if m is None else ["--m", m])
+    code, out, _ = _invoke(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"].startswith("moment-p0")
+    assert 0.0 <= doc["lower"] <= doc["upper"] <= 1.0
 
 
 def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, monkeypatch):

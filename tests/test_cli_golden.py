@@ -4,17 +4,22 @@ Every subcommand runs in both output formats and, where it takes one, in
 both ``--mode`` values.  The moment LPs also run on two moments files in
 ``tests/golden/``: N = 20 with S_1..S_16 and N = 60 with S_1..S_3, the
 binomial moments and union of a count distribution drawn as
-``default_rng(N).dirichlet(np.full(N + 1, 0.7))``.  The recorded outputs
-live in ``tests/golden/cli_stdout.json``; regenerate them only for an
-intended output change, with
+``default_rng(N).dirichlet(np.full(N + 1, 0.7))``.  ``screen`` also runs
+on ``tests/golden/screen-edges.json``, nine hand-made boxes with ±0.0,
+±inf, subnormal and extreme coordinates, touching faces, zero widths and
+ids that JSON must escape, at every ``--max-order`` from 0 to N + 1.  The
+recorded outputs live in ``tests/golden/cli_stdout.json``; regenerate them
+only for an intended output change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -58,6 +63,8 @@ ORACLE_COMMANDS = (
 # Moments files with the --m besides the default and the r of their
 # atleast/exactly targets.
 MOMENTS = (("moments-n20-m16", "16", "5"), ("moments-n60-m3", "2", "15"))
+SCREEN_EDGES = "tests/golden/screen-edges.json"
+SCREEN_EDGE_EVENTS = 9
 
 
 def moment_commands(m, r):
@@ -82,6 +89,11 @@ def cases():
                     out.append([command, path, *rest, "--mode", mode, "--format", fmt])
             for command, *rest in ORACLE_COMMANDS:
                 out.append([command, path, *rest, "--format", fmt])
+    for order in (None, *range(SCREEN_EDGE_EVENTS + 2)):
+        rest = () if order is None else ("--max-order", str(order))
+        for fmt in FORMATS:
+            for mode in MODES:
+                out.append(["screen", SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt])
     for name, m, r in MOMENTS:
         path = f"tests/golden/{name}.json"
         for fmt in FORMATS:
@@ -114,6 +126,49 @@ def test_cli_stdout_matches_golden(name, argv):
 
 def test_golden_covers_every_case():
     assert sorted(_recorded()) == sorted(name for name, _ in cases())
+
+
+def sparse_boxes(seed=150, n_events=150):
+    """A 150-box d = 2 problem in [0, 100]^2 where under 2 % of pairs overlap.
+
+    Drawn with the stdlib generator, whose stream is fixed across Python
+    versions.  Every other box has corners on the 0.5 grid, so faces touch
+    and coordinates tie.
+    """
+    rng = random.Random(seed)
+    boxes = []
+    for i in range(n_events):
+        lower, upper = [], []
+        for _ in range(2):
+            side = rng.uniform(1.0, 12.0)
+            start = rng.uniform(0.0, 100.0 - side)
+            if i % 2:
+                start, side = round(start * 2) / 2, round(side * 2) / 2
+            lower.append(start)
+            upper.append(start + side)
+        boxes.append({"id": f"A{i + 1}", "lower": lower, "upper": upper})
+    return {
+        "dimension": 2,
+        "measure": {"type": "uniform", "lower": [0, 0], "upper": [100, 100]},
+        "boxes": boxes,
+    }
+
+
+# sha256 of the screen output on sparse_boxes(), recorded before the
+# column renderer replaced the per-row one (the JSON is about 3 MB).
+SPARSE_SCREEN_SHA256 = {
+    "json": "221289c6693d45096a3d38e8b700170158cca95aeb72837b094a1048c4bd5c04",
+    "table": "3cf674f18cc88df558541f1c9d09fb61fb70ffa4fe4f4198aba1c377659bd65d",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_sparse_screen_digest(tmp_path, fmt):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(sparse_boxes()), encoding="utf-8")
+    code, stdout = invoke(["screen", str(path), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == SPARSE_SCREEN_SHA256[fmt]
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from boxbounds.screening import (
     count_cliques,
     enumerate_tuples,
     pair_verdicts,
+    screen_columns,
     screened_union,
     to_dot,
 )
@@ -343,6 +344,33 @@ def test_pair_pass_matches_meet_vertices(boxes, mode):
         assert all(type(i) is int for i in row.indices)
         assert all(type(v) is float for v in row.lower + row.upper)
         assert type(row.nonempty) is bool
+
+    # screen_columns: meet sources that rebuild the meet_vertices values,
+    # sign of zero included, and the ledger of the full walk
+    pairs, ledger = screen_columns(boxes, mode)
+    columns = zip(
+        pairs.first.tolist(),
+        pairs.second.tolist(),
+        pairs.lower_source.tolist(),
+        pairs.upper_source.tolist(),
+        pairs.nonempty.tolist(),
+    )
+    assert [
+        (
+            (i, j),
+            repr(tuple(boxes[b].lower[c] for c, b in enumerate(lower_source))),
+            repr(tuple(boxes[b].upper[c] for c, b in enumerate(upper_source))),
+            nonempty,
+        )
+        for i, j, lower_source, upper_source, nonempty in columns
+    ] == [
+        (pair, repr(lower), repr(upper), vertex_pair_nonempty(lower, upper, mode))
+        for pair, lower, upper in reference
+    ]
+    full = enumerate_tuples(boxes, mode, len(boxes))
+    assert ledger.levels.keys() == full.levels.keys()
+    for k in full.levels:
+        assert repr(ledger.entries(k)) == repr(full.entries(k))
 
     if boxes:
         measure = _pair_measure(boxes[0].dimension)
