@@ -326,9 +326,20 @@ def solve_lp(problem: LpProblem) -> LpResult:
 
 
 def _solve_pair(
-    counts: np.ndarray, lo: int, hi: int, a_eq: np.ndarray, b_eq: np.ndarray, method: str
+    counts: np.ndarray,
+    lo: int,
+    hi: int,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+    method: str,
+    capped: bool = True,
 ) -> BoundPair:
-    """Min and max of the mass on variables whose count lies in lo..hi."""
+    """Min and max of the mass on variables whose count lies in lo..hi.
+
+    capped says the rows hold the total mass at most 1, so each optimum is
+    a probability; it is clamped to [0, 1], which rounding in the simplex
+    can leave by an ULP.
+    """
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
     for sense in ("min", "max"):
@@ -338,7 +349,7 @@ def _solve_pair(
                 f"{method}: no distribution matches the supplied data ({result.status})",
                 result,
             )
-        values.append(result.value)
+        values.append(min(max(result.value, 0.0), 1.0) if capped else result.value)
     return BoundPair(*values, method)
 
 
@@ -366,9 +377,14 @@ def _moment_pair(
     method: str,
     q: float | None = None,
 ) -> BoundPair:
-    """Bounds on P(lo <= count <= hi) from the moment rows over p_start..p_N."""
+    """Bounds on P(lo <= count <= hi) from the moment rows over p_start..p_N.
+
+    The S_0 = 1 row (start 0) or the union row caps the total mass; the
+    reduced rows over p_1..p_N alone do not.
+    """
     counts = np.arange(start, moments.n_events + 1)
-    return _solve_pair(counts, lo, hi, *_moment_rows(moments, m, start, q), method)
+    capped = start == 0 or q is not None
+    return _solve_pair(counts, lo, hi, *_moment_rows(moments, m, start, q), method, capped)
 
 
 def _resolve_order(moments: MomentVector, m: int | None, default: int | None = None) -> int:

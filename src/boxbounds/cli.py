@@ -62,25 +62,21 @@ class GeometryProblem:
 # Input parsing
 
 
-def _fail(message: str) -> "InputError":
-    return InputError(message)
-
-
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{what} must be a number, got {value!r}")
+        raise InputError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
 def _vector(value, length: int, what: str) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise _fail(f"{what} must be a list of {length} numbers")
+        raise InputError(f"{what} must be a list of {length} numbers")
     return tuple(_number(v, what) for v in value)
 
 
 def _parse_marginal(obj, index: int):
     if not isinstance(obj, dict) or "type" not in obj:
-        raise _fail(f"marginal {index}: expected an object with a 'type' key")
+        raise InputError(f"marginal {index}: expected an object with a 'type' key")
     kind = obj["type"]
     if kind == "uniform":
         return UniformInterval(
@@ -91,17 +87,17 @@ def _parse_marginal(obj, index: int):
         knots = obj.get("knots")
         values = obj.get("values")
         if not isinstance(knots, list) or not isinstance(values, list):
-            raise _fail(f"marginal {index}: 'knots' and 'values' must be lists")
+            raise InputError(f"marginal {index}: 'knots' and 'values' must be lists")
         return PiecewiseCdf(
             tuple(_number(v, "knot") for v in knots),
             tuple(_number(v, "value") for v in values),
         )
-    raise _fail(f"marginal {index}: unknown type {kind!r}")
+    raise InputError(f"marginal {index}: unknown type {kind!r}")
 
 
 def _parse_measure(obj, dimension: int) -> ProductMeasure:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise _fail("measure must be an object with a 'type' key")
+        raise InputError("measure must be an object with a 'type' key")
     kind = obj["type"]
     if kind == "uniform":
         lower = _vector(obj.get("lower"), dimension, "measure lower")
@@ -110,11 +106,11 @@ def _parse_measure(obj, dimension: int) -> ProductMeasure:
     if kind == "marginals":
         marginals = obj.get("marginals")
         if not isinstance(marginals, list) or len(marginals) != dimension:
-            raise _fail(f"measure needs exactly {dimension} marginals")
+            raise InputError(f"measure needs exactly {dimension} marginals")
         return ProductMeasure(
             tuple(_parse_marginal(m, i) for i, m in enumerate(marginals))
         )
-    raise _fail(f"unknown measure type {kind!r}")
+    raise InputError(f"unknown measure type {kind!r}")
 
 
 def _parse_mode(value) -> EmptinessMode:
@@ -122,29 +118,29 @@ def _parse_mode(value) -> EmptinessMode:
         if value == mode.value:
             return mode
     choices = ", ".join(mode.value for mode in EmptinessMode)
-    raise _fail(f"unknown mode {value!r} (choices: {choices})")
+    raise InputError(f"unknown mode {value!r} (choices: {choices})")
 
 
 def parse_geometry(doc) -> GeometryProblem:
     if not isinstance(doc, dict):
-        raise _fail("problem file must be a JSON object")
+        raise InputError("problem file must be a JSON object")
     dimension = doc.get("dimension")
     if not isinstance(dimension, int) or dimension < 1:
-        raise _fail("'dimension' must be a positive integer")
+        raise InputError("'dimension' must be a positive integer")
     measure = _parse_measure(doc.get("measure"), dimension)
     raw_boxes = doc.get("boxes")
     if not isinstance(raw_boxes, list):
-        raise _fail("'boxes' must be a list")
+        raise InputError("'boxes' must be a list")
     boxes = []
     seen_ids = set()
     for i, raw in enumerate(raw_boxes):
         if not isinstance(raw, dict):
-            raise _fail(f"box {i}: expected an object")
+            raise InputError(f"box {i}: expected an object")
         box_id = raw.get("id")
         if not isinstance(box_id, str) or not box_id:
-            raise _fail(f"box {i}: 'id' must be a nonempty string")
+            raise InputError(f"box {i}: 'id' must be a nonempty string")
         if box_id in seen_ids:
-            raise _fail(f"duplicate box id {box_id!r}")
+            raise InputError(f"duplicate box id {box_id!r}")
         seen_ids.add(box_id)
         boxes.append(
             Box(
@@ -159,13 +155,13 @@ def parse_geometry(doc) -> GeometryProblem:
 
 def parse_moments(doc) -> MomentVector:
     if not isinstance(doc, dict):
-        raise _fail("moments file must be a JSON object")
+        raise InputError("moments file must be a JSON object")
     n_events = doc.get("n_events")
     if not isinstance(n_events, int) or n_events < 0:
-        raise _fail("'n_events' must be a nonnegative integer")
+        raise InputError("'n_events' must be a nonnegative integer")
     s = doc.get("s")
     if not isinstance(s, list) or not s:
-        raise _fail("'s' must be a nonempty list of moments S_1..S_m")
+        raise InputError("'s' must be a nonempty list of moments S_1..S_m")
     q = None
     if doc.get("q") is not None:
         q = _number(doc["q"], "'q'")
@@ -177,9 +173,9 @@ def load_document(path: str):
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _resolve_mode(args, problem: GeometryProblem) -> EmptinessMode:
@@ -249,9 +245,10 @@ def _screen_sections(boxes, pairs, ledger, max_order, texts):
     """
     sections = []
     if len(boxes) >= 2 and max_order >= 2:
-        columns = np.arange(boxes[0].dimension)
-        lower = texts(np.array([box.lower for box in boxes]))[pairs.lower_source, columns]
-        upper = texts(np.array([box.upper for box in boxes]))[pairs.upper_source, columns]
+        lowers = texts(np.array([box.lower for box in boxes]))
+        uppers = texts(np.array([box.upper for box in boxes]))
+        lower = np.where(pairs.lower_later, lowers[pairs.second], lowers[pairs.first])
+        upper = np.where(pairs.upper_later, uppers[pairs.second], uppers[pairs.first])
         members = np.column_stack((pairs.first, pairs.second))
         sections.append((2, members, lower, upper, pairs.nonempty.tolist()))
     for k in sorted(ledger.levels):
@@ -377,7 +374,7 @@ def _cmd_moments(args):
     n = len(problem.boxes)
     m = n if args.m is None else args.m
     if m > n:
-        raise _fail(f"--m {m} exceeds the event count {n}")
+        raise InputError(f"--m {m} exceeds the event count {n}")
     moments = binomial_moments(problem.boxes, problem.measure, mode, m)
     doc = {
         "version": JSON_VERSION,
@@ -400,13 +397,13 @@ def _bounds_inputs(args):
         problem = parse_geometry(doc)
         mode = _resolve_mode(args, problem)
         if not problem.boxes:
-            raise _fail("bounds need at least one event")
+            raise InputError("bounds need at least one event")
         return problem, mode, None
     if isinstance(doc, dict) and "s" in doc:
         if getattr(args, "mode", None):
-            raise _fail("--mode applies only to geometry input")
+            raise InputError("--mode applies only to geometry input")
         return None, None, parse_moments(doc)
-    raise _fail("input file must contain either 'boxes' (geometry) or 's' (moments)")
+    raise InputError("input file must contain either 'boxes' (geometry) or 's' (moments)")
 
 
 def _cmd_bounds(args):
@@ -415,9 +412,9 @@ def _cmd_bounds(args):
     target = args.target
     r = args.r
     if target in ("atleast", "exactly") and r is None:
-        raise _fail(f"--target {target} requires --r")
+        raise InputError(f"--target {target} requires --r")
     if target == "union" and r is not None:
-        raise _fail("--r is meaningless for --target union")
+        raise InputError("--r is meaningless for --target union")
     m = min(3, n if moments is None else moments.m) if args.m is None else args.m
 
     if args.method == "moment":
@@ -443,20 +440,20 @@ def _cmd_bounds(args):
         result = pair
     elif args.method == "boolean":
         if problem is None:
-            raise _fail("--method boolean needs geometry input")
+            raise InputError("--method boolean needs geometry input")
         if args.with_q:
-            raise _fail("--with-q does not apply to the boolean method")
+            raise InputError("--with-q does not apply to the boolean method")
         if 1 <= m <= n:  # boolean_system_from_boxes reports any other m first
             check_atom_cap(n)
         system = boolean_system_from_boxes(problem.boxes, problem.measure, m)
         result = boolean_lp_bounds(system, target, r)
     else:  # hunter-worsley
         if problem is None:
-            raise _fail("--method hunter-worsley needs geometry input")
+            raise InputError("--method hunter-worsley needs geometry input")
         if target != "union":
-            raise _fail("--method hunter-worsley bounds the union only")
+            raise InputError("--method hunter-worsley bounds the union only")
         if args.with_q:
-            raise _fail("--with-q does not apply to the hunter-worsley method")
+            raise InputError("--with-q does not apply to the hunter-worsley method")
         ledger = enumerate_tuples(problem.boxes, mode, 2, problem.measure)
         upper = hunter_worsley_upper(ledger.order_sum(1), ledger.probabilities(2), n)
         doc = {

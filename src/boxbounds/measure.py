@@ -68,6 +68,8 @@ class PiecewiseCdf:
             raise InputError("piecewise CDF needs two or more (knot, value) pairs")
         if not all(isfinite(k) for k in knots):
             raise InputError("piecewise CDF knots must be finite")
+        if not all(isfinite(v) for v in values):  # NaN passes every order test
+            raise InputError("piecewise CDF values must be finite")
         if any(k1 >= k2 for k1, k2 in zip(knots, knots[1:])):
             raise InputError("piecewise CDF knots must be strictly increasing")
         if any(v1 > v2 for v1, v2 in zip(values, values[1:])):

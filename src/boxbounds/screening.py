@@ -180,78 +180,82 @@ class PairColumns(NamedTuple):
     """Every index pair (i, j), i < j, as columns, rows in lexicographic order.
 
     ``first``/``second`` are ``(P,)`` and hold i and j; ``nonempty`` is the
-    vertex test per pair.  ``lower_source``/``upper_source`` are ``(P, d)``
-    and name the box, i or j, whose coordinate the meet vertex takes, so
-    the meet of pair p is ``box[lower_source[p, c]].lower[c]`` over c, sign
-    of zero included.
+    vertex test per pair.  ``lower_later``/``upper_later`` are ``(P, d)``
+    and True where box j, not box i, supplies that coordinate of the meet,
+    so the meet lower vertices are ``np.where(lower_later, lowers[second],
+    lowers[first])``, sign of zero included.
     """
 
     first: np.ndarray
     second: np.ndarray
-    lower_source: np.ndarray
-    upper_source: np.ndarray
+    lower_later: np.ndarray
+    upper_later: np.ndarray
     nonempty: np.ndarray
 
 
 def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
     """The lower and upper vertices of all boxes as two ``(N, d)`` arrays."""
-    require_same_dimension(boxes)
-    lowers = np.array([box.lower for box in boxes], dtype=float)
-    uppers = np.array([box.upper for box in boxes], dtype=float)
+    shape = (len(boxes), require_same_dimension(boxes))
+    lowers = np.array([box.lower for box in boxes], dtype=float).reshape(shape)
+    uppers = np.array([box.upper for box in boxes], dtype=float).reshape(shape)
     return lowers, uppers
 
 
-def _pair_pass(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
-    """Meet vertices and verdicts of every pair of the ``(N, d)`` vertices.
+def _pair_columns(
+    lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode
+) -> PairColumns:
+    """The vertex test on every pair of the ``(N, d)`` vertices, one row at a time.
 
-    Yields ``(i, lower, upper, nonempty, lower_later, upper_later)`` per
-    row i, where row k of the ``(N-1-i, d)`` arrays ``lower``/``upper``
-    holds the candidate intersection vertices of boxes i and i+1+k, and
-    ``nonempty`` is the vertex test per row.  Values equal those of
-    meet_vertices: the vertex is picked with the comparison Python's
-    max/min make (the later box only when strictly larger/smaller), so
-    ties between 0.0 and -0.0 keep the sign meet_vertices keeps, which
-    np.maximum does not promise.  ``lower_later``/``upper_later`` are those
-    comparisons: True where the coordinate comes from box i+1+k, False
-    where it comes from box i.
+    The meet takes the later box's coordinate only when it is strictly
+    larger (lower) or smaller (upper), the comparison Python's max/min
+    make, so ties between 0.0 and -0.0 keep the sign meet_vertices keeps,
+    which np.maximum does not promise.
     """
+    n, d = lowers.shape
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
-    for i in range(len(lowers) - 1):
-        rest_lower = lowers[i + 1 :]
-        rest_upper = uppers[i + 1 :]
-        lower_later = rest_lower > lowers[i]
-        upper_later = rest_upper < uppers[i]
-        lower = np.where(lower_later, rest_lower, lowers[i])
-        upper = np.where(upper_later, rest_upper, uppers[i])
-        yield i, lower, upper, test(lower, upper).all(axis=1), lower_later, upper_later
+    first, second = np.triu_indices(n, 1)
+    lower_later = np.empty((len(first), d), dtype=bool)
+    upper_later = np.empty_like(lower_later)
+    nonempty = np.empty(len(first), dtype=bool)
+    start = 0  # pairs (i, i+1..N-1) are rows start..stop-1
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        rest_lower, rest_upper = lowers[i + 1 :], uppers[i + 1 :]
+        lower_from_rest = np.greater(rest_lower, lowers[i], out=lower_later[start:stop])
+        upper_from_rest = np.less(rest_upper, uppers[i], out=upper_later[start:stop])
+        lower = np.where(lower_from_rest, rest_lower, lowers[i])
+        upper = np.where(upper_from_rest, rest_upper, uppers[i])
+        nonempty[start:stop] = test(lower, upper).all(axis=1)
+        start = stop
+    return PairColumns(first, second, lower_later, upper_later, nonempty)
 
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    edges = []
-    for i, _, _, nonempty, _, _ in _pair_pass(*_vertex_arrays(boxes), mode):
-        edges.extend((i, j) for j in (np.flatnonzero(nonempty) + (i + 1)).tolist())
-    return IntersectionGraph(len(boxes), frozenset(edges))
+    pairs = _pair_columns(*_vertex_arrays(boxes), mode)
+    first, second = pairs.first[pairs.nonempty], pairs.second[pairs.nonempty]
+    return IntersectionGraph(len(boxes), frozenset(zip(first.tolist(), second.tolist())))
 
 
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
     """One row per index pair, in lexicographic order, including failures."""
-    rows = []
-    for i, lower, upper, nonempty, _, _ in _pair_pass(*_vertex_arrays(boxes), mode):
-        first = boxes[i].id
-        for j, lo, hi, verdict in zip(
-            range(i + 1, len(boxes)), lower.tolist(), upper.tolist(), nonempty.tolist()
-        ):
-            rows.append(
-                TupleVerdict(
-                    indices=(i, j),
-                    label=first + boxes[j].id,
-                    lower=tuple(lo),
-                    upper=tuple(hi),
-                    nonempty=verdict,
-                )
-            )
-    return rows
+    lowers, uppers = _vertex_arrays(boxes)
+    first, second, lower_later, upper_later, nonempty = _pair_columns(lowers, uppers, mode)
+    lower = np.where(lower_later, lowers[second], lowers[first])
+    upper = np.where(upper_later, uppers[second], uppers[first])
+    ids = [box.id for box in boxes]
+    return [
+        TupleVerdict(
+            indices=(i, j),
+            label=ids[i] + ids[j],
+            lower=tuple(lo),
+            upper=tuple(hi),
+            nonempty=verdict,
+        )
+        for i, j, lo, hi, verdict in zip(
+            first.tolist(), second.tolist(), lower.tolist(), upper.tolist(), nonempty.tolist()
+        )
+    ]
 
 
 # Terms a ledger or clique walk may hold before it stops with an InputError.
@@ -262,12 +266,10 @@ TERM_BUDGET = 1_000_000
 MASK_BYTE_BUDGET = 128 * 2**20
 
 
-def _later_neighbours(graph: IntersectionGraph) -> np.ndarray:
-    """``(N, N)`` mask: ``later[v, w]`` when v < w and (v, w) is an edge."""
-    later = np.zeros((graph.n_events, graph.n_events), dtype=bool)
-    if graph.edges:
-        rows, cols = np.array(sorted(graph.edges)).T
-        later[rows, cols] = True
+def _later(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``(N, N)`` mask: ``later[v, w]`` for every listed pair (v, w), v < w."""
+    later = np.zeros((n, n), dtype=bool)
+    later[first, second] = True
     return later
 
 
@@ -327,7 +329,8 @@ def cliques_by_order(
     """
     n = graph.n_events
     cap = n if max_order is None else min(max_order, n)
-    levels = _clique_levels(_later_neighbours(graph), np.arange(n), cap)
+    first, second = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    levels = _clique_levels(_later(n, first, second), np.arange(n), cap)
     return {
         k: [tuple(t) for t in indices.tolist()] for k, indices in enumerate(levels, 1)
     }
@@ -349,7 +352,7 @@ def enumerate_tuples(
 ) -> TupleLedger:
     """All index tuples of order <= max_order with nonempty intersection.
 
-    One screened walk: the pair test fills the later-neighbour mask, and
+    One screened walk: the pair table gives the later-neighbour mask, and
     order k extends the surviving (k-1)-tuples by neighbours common to
     every member.  The extensions need no k-wise re-test: max and min do
     not round, so a meet passes the vertex test exactly when every
@@ -359,19 +362,16 @@ def enumerate_tuples(
     intersection probabilities; every tuple the walk leaves out has
     probability exactly 0.0 under POSITIVE_MEASURE.  Whole orders are
     built at once; the meet picks each vertex with the comparison Python's
-    max/min make, as in _pair_pass.  Raises InputError when the walk would
-    exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    max/min make, as in _pair_columns.  Raises InputError when the walk
+    would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
-    n = len(boxes)
     lowers, uppers = _vertex_arrays(boxes)
-    if measure is not None and n > 0 and lowers.shape[1] != measure.dimension:
+    if measure is not None and boxes and lowers.shape[1] != measure.dimension:
         raise InputError(
             f"boxes have dimension {lowers.shape[1]}, measure has {measure.dimension}"
         )
-    later = np.zeros((n, n), dtype=bool)
-    for i, _, _, nonempty, _, _ in _pair_pass(lowers, uppers, mode):
-        later[i, i + 1 :] = nonempty
-    return _walk(boxes, lowers, uppers, mode, later, max_order, measure)
+    pairs = _pair_columns(lowers, uppers, mode)
+    return _walk(boxes, lowers, uppers, mode, pairs, max_order, measure)
 
 
 def _walk(
@@ -379,17 +379,18 @@ def _walk(
     lowers: np.ndarray,
     uppers: np.ndarray,
     mode: EmptinessMode,
-    later: np.ndarray,
+    pairs: PairColumns,
     max_order: int,
     measure: ProductMeasure | None = None,
 ) -> TupleLedger:
-    """The ledger of enumerate_tuples from a filled later-neighbour mask."""
+    """The ledger of enumerate_tuples from the boxes' pair table."""
     n = len(boxes)
     cap = min(max_order, n)
     ids = tuple(box.id for box in boxes)
     levels: dict[int, LedgerOrder] = {}
     if cap < 1:
         return TupleLedger(n, ids, levels)
+    later = _later(n, pairs.first[pairs.nonempty], pairs.second[pairs.nonempty])
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
@@ -408,27 +409,14 @@ def _walk(
 def screen_columns(
     boxes: Sequence[Box], mode: EmptinessMode
 ) -> tuple[PairColumns, TupleLedger]:
-    """Every pair's verdict columns and the full ledger, from one pair pass.
+    """The pair table and the full ledger, from one pair test.
 
     The ledger is that of ``enumerate_tuples(boxes, mode, len(boxes))``,
     built without a measure.  Raises InputError as enumerate_tuples does.
     """
-    n = len(boxes)
     lowers, uppers = _vertex_arrays(boxes)
-    later = np.zeros((n, n), dtype=bool)
-    first, second = np.triu_indices(n, 1)
-    lower_source = np.empty((len(first), lowers.shape[-1]), dtype=np.intp)
-    upper_source = np.empty_like(lower_source)
-    start = 0  # pairs (i, i+1..N-1) are rows start..stop-1
-    for i, _, _, nonempty, lower_later, upper_later in _pair_pass(lowers, uppers, mode):
-        later[i, i + 1 :] = nonempty
-        stop = start + len(nonempty)
-        rest = second[start:stop, None]
-        lower_source[start:stop] = np.where(lower_later, rest, i)
-        upper_source[start:stop] = np.where(upper_later, rest, i)
-        start = stop
-    pairs = PairColumns(first, second, lower_source, upper_source, later[first, second])
-    return pairs, _walk(boxes, lowers, uppers, mode, later, n)
+    pairs = _pair_columns(lowers, uppers, mode)
+    return pairs, _walk(boxes, lowers, uppers, mode, pairs, len(boxes))
 
 
 def _signed_total(ledger: TupleLedger) -> float:

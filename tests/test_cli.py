@@ -262,6 +262,20 @@ def test_schema_violations_exit_1(capsys, tmp_path):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("argv", [("union",), ("bounds",), ("oracle", "--engine", "mc")])
+def test_non_finite_cdf_value_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"dimension": 1, "measure": {"type": "marginals", "marginals": '
+        '[{"type": "piecewise", "knots": [0, 1, 2], "values": [0, NaN, 1]}]}, '
+        '"boxes": [{"id": "A", "lower": [0], "upper": [2]}, '
+        '{"id": "B", "lower": [0.5], "upper": [1.5]}]}'
+    )
+    code, out, err = _invoke(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: piecewise CDF values must be finite\n"
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate", "x.json"]) == 1
 
@@ -339,7 +353,9 @@ def test_moment_bounds_walk_only_to_m(capsys, tmp_path):
 @pytest.mark.parametrize(
     "path",
     ["fixtures/example1.json", "fixtures/example2.json",
-     "tests/golden/moments-n20-m16.json", "tests/golden/moments-n60-m3.json"],
+     "tests/golden/moments-n20-m16.json", "tests/golden/moments-n60-m3.json",
+     # 44 overlapping boxes whose unclamped m = 3 optimum is 1 + 2^-52
+     "tests/golden/dense-n44-d2.json"],
 )
 def test_union_upper_bound_is_at_most_one(capsys, path, m):
     argv = ["bounds", str(ROOT / path), "--format", "json"] + ([] if m is None else ["--m", m])

@@ -1,4 +1,4 @@
-from math import inf
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -62,6 +62,13 @@ def test_piecewise_validation():
         PiecewiseCdf((0, 1), (0, 0.9))
     with pytest.raises(InputError):
         PiecewiseCdf((0, 1, 2), (0, 0.8, 0.5))
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf])
+def test_piecewise_values_must_be_finite(value):
+    # NaN fails every comparison, so the order checks alone let it through
+    with pytest.raises(InputError, match="values must be finite"):
+        PiecewiseCdf((0, 1, 2), (0, value, 1))
 
 
 def test_piecewise_ppf_round_trip():

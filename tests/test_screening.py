@@ -345,24 +345,24 @@ def test_pair_pass_matches_meet_vertices(boxes, mode):
         assert all(type(v) is float for v in row.lower + row.upper)
         assert type(row.nonempty) is bool
 
-    # screen_columns: meet sources that rebuild the meet_vertices values,
-    # sign of zero included, and the ledger of the full walk
+    # screen_columns: meet-source masks that rebuild the meet_vertices
+    # values, sign of zero included, and the ledger of the full walk
     pairs, ledger = screen_columns(boxes, mode)
     columns = zip(
         pairs.first.tolist(),
         pairs.second.tolist(),
-        pairs.lower_source.tolist(),
-        pairs.upper_source.tolist(),
+        pairs.lower_later.tolist(),
+        pairs.upper_later.tolist(),
         pairs.nonempty.tolist(),
     )
     assert [
         (
             (i, j),
-            repr(tuple(boxes[b].lower[c] for c, b in enumerate(lower_source))),
-            repr(tuple(boxes[b].upper[c] for c, b in enumerate(upper_source))),
+            repr(tuple(boxes[j if later else i].lower[c] for c, later in enumerate(lower_later))),
+            repr(tuple(boxes[j if later else i].upper[c] for c, later in enumerate(upper_later))),
             nonempty,
         )
-        for i, j, lower_source, upper_source, nonempty in columns
+        for i, j, lower_later, upper_later, nonempty in columns
     ] == [
         (pair, repr(lower), repr(upper), vertex_pair_nonempty(lower, upper, mode))
         for pair, lower, upper in reference
