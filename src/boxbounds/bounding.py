@@ -38,6 +38,9 @@ _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 64  # degenerate pivots tolerated before Bland's rule takes over
 _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 _ATOM_CAP = 12  # Boolean LP has 2^N variables
+# Cells (rows times columns) of the dense moment matrix a moment LP may
+# hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
+MOMENT_CELL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +307,7 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
     np.clip(x, 0.0, None, out=x)
     return LpResult(
         status="optimal",
-        value=float(c @ x),
+        value=float(c @ x) + 0.0,  # + 0.0 turns a -0.0 optimum into 0.0
         solution=tuple(float(v) for v in x),
     )
 
@@ -318,7 +321,8 @@ def solve_lp(problem: LpProblem) -> LpResult:
     result = _simplex_min(-c, a, b)
     if result.status != "optimal":
         return result
-    return LpResult(status="optimal", value=-result.value, solution=result.solution)
+    # 0.0 - v, unlike -v, never gives -0.0
+    return LpResult(status="optimal", value=0.0 - result.value, solution=result.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +361,17 @@ def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = No
     """Equality rows sum_i C(i, k) p_i = S_k over p_start..p_N, k = start..m.
 
     start 0 brings p_0 and the S_0 = 1 row.  A given q puts the union row
-    sum_i p_i = q, which is the k = 0 row with q for S_0, first.
+    sum_i p_i = q, which is the k = 0 row with q for S_0, first.  Raises
+    InputError, before any row is built, above MOMENT_CELL_BUDGET cells.
     """
     orders = range(start if q is None else 0, m + 1)
     counts = range(start, moments.n_events + 1)
+    cells = len(orders) * len(counts)
+    if cells > MOMENT_CELL_BUDGET:
+        raise InputError(
+            f"moment LP of {len(orders)} rows and {len(counts)} columns has {cells} "
+            f"cells, above the budget of {MOMENT_CELL_BUDGET}"
+        )
     a_eq = np.array([[comb(i, k) for i in counts] for k in orders], dtype=float)
     b_eq = np.array([moments.s_k(k) for k in orders])
     if q is not None:
@@ -382,9 +393,10 @@ def _moment_pair(
     The S_0 = 1 row (start 0) or the union row caps the total mass; the
     reduced rows over p_1..p_N alone do not.
     """
+    a_eq, b_eq = _moment_rows(moments, m, start, q)
     counts = np.arange(start, moments.n_events + 1)
     capped = start == 0 or q is not None
-    return _solve_pair(counts, lo, hi, *_moment_rows(moments, m, start, q), method, capped)
+    return _solve_pair(counts, lo, hi, a_eq, b_eq, method, capped)
 
 
 def _resolve_order(moments: MomentVector, m: int | None, default: int | None = None) -> int:

@@ -42,7 +42,6 @@ from .screening import (
     binomial_moments,
     build_graph,
     enumerate_tuples,
-    screen_columns,
     screened_union,
     to_dot,
 )
@@ -235,22 +234,32 @@ def _kv_table(pairs) -> str:
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs)
 
 
-def _screen_sections(boxes, pairs, ledger, max_order, texts):
+def _screen_sections(boxes, ledger, max_order, texts):
     """(order, members, lower, upper, nonempty) per listed order.
 
     members is the ``(F, k)`` index array of the rows; lower and upper are
     ``(F, d)`` object arrays of each row's coordinates rendered by
-    ``texts``.  Pair coordinates are rendered once per box and gathered by
-    meet source, so each keeps the sign of zero of the box that supplied it.
+    ``texts``.  Every pair is listed, and its verdict is whether the
+    ledger's order 2 holds it: a pair that passes the test has both boxes
+    among the walk's roots, since its meet lies inside each.  Pair
+    coordinates are rendered once per box and gathered by the strict
+    comparison pair_verdicts makes, so each keeps the sign of zero of the
+    box that supplied it.
     """
     sections = []
-    if len(boxes) >= 2 and max_order >= 2:
-        lowers = texts(np.array([box.lower for box in boxes]))
-        uppers = texts(np.array([box.upper for box in boxes]))
-        lower = np.where(pairs.lower_later, lowers[pairs.second], lowers[pairs.first])
-        upper = np.where(pairs.upper_later, uppers[pairs.second], uppers[pairs.first])
-        members = np.column_stack((pairs.first, pairs.second))
-        sections.append((2, members, lower, upper, pairs.nonempty.tolist()))
+    n = len(boxes)
+    if n >= 2 and max_order >= 2:
+        lowers = np.array([box.lower for box in boxes])
+        uppers = np.array([box.upper for box in boxes])
+        lower_texts, upper_texts = texts(lowers), texts(uppers)
+        first, second = np.triu_indices(n, 1)
+        lower = np.where(lowers[second] > lowers[first], lower_texts[second], lower_texts[first])
+        upper = np.where(uppers[second] < uppers[first], upper_texts[second], upper_texts[first])
+        nonempty = np.zeros((n, n), dtype=bool)
+        if 2 in ledger.levels:
+            nonempty[tuple(ledger.levels[2].indices.T)] = True
+        members = np.column_stack((first, second))
+        sections.append((2, members, lower, upper, nonempty[first, second].tolist()))
     for k in sorted(ledger.levels):
         if 3 <= k <= max_order:
             level = ledger.levels[k]
@@ -330,19 +339,19 @@ def _screen_table(ids, sections, terms_used, terms_full) -> str:
 
 
 def _cmd_screen(args) -> str:
-    """The verdict listing, rendered from the pair and ledger columns."""
+    """The verdict listing, rendered from the ledger's columns."""
     problem = parse_geometry(load_document(args.file))
     mode = _resolve_mode(args, problem)
     boxes = problem.boxes
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
-    pairs, ledger = screen_columns(boxes, mode)
+    ledger = enumerate_tuples(boxes, mode, n)
     ids = np.array([box.id for box in boxes], dtype=object)
     terms = (ledger.term_count(), 2**n - 1)
     if args.format == "json":
-        sections = _screen_sections(boxes, pairs, ledger, max_order, _json_texts)
+        sections = _screen_sections(boxes, ledger, max_order, _json_texts)
         return _screen_json(mode, ids, sections, *terms)
-    sections = _screen_sections(boxes, pairs, ledger, max_order, _table_texts)
+    sections = _screen_sections(boxes, ledger, max_order, _table_texts)
     return _screen_table(ids, sections, *terms)
 
 

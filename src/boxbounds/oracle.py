@@ -22,6 +22,10 @@ IE_MAX_EVENTS = 20
 CELL_MAX_EVENTS = 12
 CELL_MAX_DIM = 3
 _MC_CHUNK = 1 << 19
+# Point-in-box tests (samples times boxes) a Monte Carlo run may make.
+# In two dimensions a test takes about 2.7 ns with 150 boxes and 12 ns
+# with 5, where sampling dominates, so a run at the budget takes seconds.
+MC_TEST_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,18 @@ def monte_carlo_union(
     (numpy default_rng), so a fixed seed reproduces the estimate exactly
     across platforms.  standard_error is sqrt(est (1 - est) / samples).
     Points are tested box by box into one hit mask per chunk, so working
-    memory is O(chunk * d) whatever the number of boxes.
+    memory is O(chunk * d) whatever the number of boxes.  Raises
+    InputError before any sampling when samples times boxes exceed
+    MC_TEST_BUDGET.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
     _check_dimensions(boxes, measure)
+    if samples * len(boxes) > MC_TEST_BUDGET:
+        raise InputError(
+            f"{samples} samples times {len(boxes)} boxes exceed the budget of "
+            f"{MC_TEST_BUDGET} point-in-box tests"
+        )
     if not boxes:
         return MonteCarloResult(0.0, 0.0)
     rng = np.random.default_rng(seed)

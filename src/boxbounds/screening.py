@@ -176,23 +176,6 @@ class TupleVerdict(NamedTuple):
     nonempty: bool
 
 
-class PairColumns(NamedTuple):
-    """Every index pair (i, j), i < j, as columns, rows in lexicographic order.
-
-    ``first``/``second`` are ``(P,)`` and hold i and j; ``nonempty`` is the
-    vertex test per pair.  ``lower_later``/``upper_later`` are ``(P, d)``
-    and True where box j, not box i, supplies that coordinate of the meet,
-    so the meet lower vertices are ``np.where(lower_later, lowers[second],
-    lowers[first])``, sign of zero included.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-    lower_later: np.ndarray
-    upper_later: np.ndarray
-    nonempty: np.ndarray
-
-
 def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
     """The lower and upper vertices of all boxes as two ``(N, d)`` arrays."""
     shape = (len(boxes), require_same_dimension(boxes))
@@ -201,48 +184,42 @@ def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
     return lowers, uppers
 
 
-def _pair_columns(
-    lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode
-) -> PairColumns:
-    """The vertex test on every pair of the ``(N, d)`` vertices, one row at a time.
+def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode) -> np.ndarray:
+    """``(N, N)`` mask: ``later[i, j]``, i < j, when boxes i and j pass the vertex test.
 
-    The meet takes the later box's coordinate only when it is strictly
-    larger (lower) or smaller (upper), the comparison Python's max/min
-    make, so ties between 0.0 and -0.0 keep the sign meet_vertices keeps,
-    which np.maximum does not promise.
+    One row at a time, so working memory stays O(N·d) per row.  A verdict
+    only compares values, and a comparison cannot tell 0.0 from -0.0, so
+    np.maximum and np.minimum are safe here although they do not promise
+    the sign of zero meet_vertices keeps.
     """
-    n, d = lowers.shape
+    n = len(lowers)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
-    first, second = np.triu_indices(n, 1)
-    lower_later = np.empty((len(first), d), dtype=bool)
-    upper_later = np.empty_like(lower_later)
-    nonempty = np.empty(len(first), dtype=bool)
-    start = 0  # pairs (i, i+1..N-1) are rows start..stop-1
+    later = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
-        stop = start + n - 1 - i
-        rest_lower, rest_upper = lowers[i + 1 :], uppers[i + 1 :]
-        lower_from_rest = np.greater(rest_lower, lowers[i], out=lower_later[start:stop])
-        upper_from_rest = np.less(rest_upper, uppers[i], out=upper_later[start:stop])
-        lower = np.where(lower_from_rest, rest_lower, lowers[i])
-        upper = np.where(upper_from_rest, rest_upper, uppers[i])
-        nonempty[start:stop] = test(lower, upper).all(axis=1)
-        start = stop
-    return PairColumns(first, second, lower_later, upper_later, nonempty)
+        lower = np.maximum(lowers[i + 1 :], lowers[i])
+        upper = np.minimum(uppers[i + 1 :], uppers[i])
+        later[i, i + 1 :] = test(lower, upper).all(axis=1)
+    return later
 
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    pairs = _pair_columns(*_vertex_arrays(boxes), mode)
-    first, second = pairs.first[pairs.nonempty], pairs.second[pairs.nonempty]
+    first, second = np.nonzero(_pair_mask(*_vertex_arrays(boxes), mode))
     return IntersectionGraph(len(boxes), frozenset(zip(first.tolist(), second.tolist())))
 
 
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
-    """One row per index pair, in lexicographic order, including failures."""
+    """One row per index pair, in lexicographic order, including failures.
+
+    The meet takes the later box's coordinate only when it is strictly
+    larger (lower) or smaller (upper), the comparison Python's max/min
+    make, so ties between 0.0 and -0.0 keep the sign meet_vertices keeps.
+    """
     lowers, uppers = _vertex_arrays(boxes)
-    first, second, lower_later, upper_later, nonempty = _pair_columns(lowers, uppers, mode)
-    lower = np.where(lower_later, lowers[second], lowers[first])
-    upper = np.where(upper_later, uppers[second], uppers[first])
+    first, second = np.triu_indices(len(boxes), 1)
+    nonempty = _pair_mask(lowers, uppers, mode)[first, second]
+    lower = np.where(lowers[second] > lowers[first], lowers[second], lowers[first])
+    upper = np.where(uppers[second] < uppers[first], uppers[second], uppers[first])
     ids = [box.id for box in boxes]
     return [
         TupleVerdict(
@@ -264,13 +241,6 @@ TERM_BUDGET = 1_000_000
 # Bytes the gather of one order's candidate masks may allocate: one byte
 # per event and term, three times over (two gathered rows and their AND).
 MASK_BYTE_BUDGET = 128 * 2**20
-
-
-def _later(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``(N, N)`` mask: ``later[v, w]`` for every listed pair (v, w), v < w."""
-    later = np.zeros((n, n), dtype=bool)
-    later[first, second] = True
-    return later
 
 
 def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, extend=None):
@@ -330,7 +300,9 @@ def cliques_by_order(
     n = graph.n_events
     cap = n if max_order is None else min(max_order, n)
     first, second = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
-    levels = _clique_levels(_later(n, first, second), np.arange(n), cap)
+    later = np.zeros((n, n), dtype=bool)
+    later[first, second] = True
+    levels = _clique_levels(later, np.arange(n), cap)
     return {
         k: [tuple(t) for t in indices.tolist()] for k, indices in enumerate(levels, 1)
     }
@@ -352,7 +324,7 @@ def enumerate_tuples(
 ) -> TupleLedger:
     """All index tuples of order <= max_order with nonempty intersection.
 
-    One screened walk: the pair table gives the later-neighbour mask, and
+    One screened walk: the pair test gives the later-neighbour mask, and
     order k extends the surviving (k-1)-tuples by neighbours common to
     every member.  The extensions need no k-wise re-test: max and min do
     not round, so a meet passes the vertex test exactly when every
@@ -362,7 +334,7 @@ def enumerate_tuples(
     intersection probabilities; every tuple the walk leaves out has
     probability exactly 0.0 under POSITIVE_MEASURE.  Whole orders are
     built at once; the meet picks each vertex with the comparison Python's
-    max/min make, as in _pair_columns.  Raises InputError when the walk
+    max/min make, as in pair_verdicts.  Raises InputError when the walk
     would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     lowers, uppers = _vertex_arrays(boxes)
@@ -370,27 +342,13 @@ def enumerate_tuples(
         raise InputError(
             f"boxes have dimension {lowers.shape[1]}, measure has {measure.dimension}"
         )
-    pairs = _pair_columns(lowers, uppers, mode)
-    return _walk(boxes, lowers, uppers, mode, pairs, max_order, measure)
-
-
-def _walk(
-    boxes: Sequence[Box],
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    mode: EmptinessMode,
-    pairs: PairColumns,
-    max_order: int,
-    measure: ProductMeasure | None = None,
-) -> TupleLedger:
-    """The ledger of enumerate_tuples from the boxes' pair table."""
     n = len(boxes)
     cap = min(max_order, n)
     ids = tuple(box.id for box in boxes)
     levels: dict[int, LedgerOrder] = {}
     if cap < 1:
         return TupleLedger(n, ids, levels)
-    later = _later(n, pairs.first[pairs.nonempty], pairs.second[pairs.nonempty])
+    later = _pair_mask(lowers, uppers, mode)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
@@ -404,19 +362,6 @@ def _walk(
         probability = None if measure is None else measure.rect_probabilities(lower, upper)
         levels[k] = LedgerOrder(indices, lower, upper, probability)
     return TupleLedger(n, ids, levels)
-
-
-def screen_columns(
-    boxes: Sequence[Box], mode: EmptinessMode
-) -> tuple[PairColumns, TupleLedger]:
-    """The pair table and the full ledger, from one pair test.
-
-    The ledger is that of ``enumerate_tuples(boxes, mode, len(boxes))``,
-    built without a measure.  Raises InputError as enumerate_tuples does.
-    """
-    lowers, uppers = _vertex_arrays(boxes)
-    pairs = _pair_columns(lowers, uppers, mode)
-    return pairs, _walk(boxes, lowers, uppers, mode, pairs, len(boxes))
 
 
 def _signed_total(ledger: TupleLedger) -> float:

@@ -726,3 +726,23 @@ def test_true_distribution_is_feasible_for_every_formulation():
 def test_bound_pair_rejects_inverted_bounds():
     with pytest.raises(ArithmeticError):
         BoundPair(0.5, 0.3, "test")
+
+
+def test_no_bound_is_negative_zero():
+    # A maximum of 0 came back as the negated minimum of -c, that is -0.0.
+    for pair in (
+        union_bounds(MomentVector(2, (0.0, 0.0)), 2, include_p0=True),
+        union_bounds(MomentVector(2, (0.0,)), 1),
+    ):
+        assert (repr(pair.lower), repr(pair.upper)) == ("0.0", "0.0")
+
+
+def test_moment_lp_budget(monkeypatch):
+    # union_bounds with p_0 at m = 1 has 2 rows over p_0..p_N.
+    monkeypatch.setattr(bounding, "MOMENT_CELL_BUDGET", 8)
+    assert union_bounds(MomentVector(3, (0.5,)), 1, include_p0=True).upper == 0.5
+    with pytest.raises(InputError, match="2 rows and 5 columns has 10 cells"):
+        union_bounds(MomentVector(4, (0.5,)), 1, include_p0=True)
+    monkeypatch.undo()
+    with pytest.raises(InputError, match="budget of 1000000"):
+        atleast_r_bounds(MomentVector(10**9, (0.5, 0.1)), 1)

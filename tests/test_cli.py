@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from boxbounds import cli
 from boxbounds.bounding import hunter_worsley_upper, pairwise_probabilities
 from boxbounds.cli import run
 from boxbounds.geometry import EmptinessMode
+from boxbounds.measure import ProductMeasure
 from boxbounds.screening import binomial_moments
 
 from helpers import random_instance
@@ -388,3 +391,60 @@ def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, mon
     code, out, err = _invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: event count 13 above the 2^N atom cap (12)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("--method", "boolean"), ("--target", "exactly", "--r", "1"), ("--with-q",)],
+)
+def test_zero_bounds_print_no_negative_zero(capsys, tmp_path, argv):
+    # One box of probability 0: every maximum is 0, and the max path of
+    # the LP negates a minimum, which must not leave -0.0.
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [1]},
+        "boxes": [{"id": "A", "lower": [0.5], "upper": [0.5]}],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _invoke(capsys, "bounds", str(path), *argv, "--format", "json")
+    assert code == 0
+    assert '"lower": 0.0,' in out and '"upper": 0.0\n' in out
+    code, out, _ = _invoke(capsys, "bounds", str(path), *argv)
+    assert code == 0
+    assert out.endswith("lower   0\nupper   0\n")
+
+
+def test_oversized_moment_lp_exits_before_building_rows(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_events": 10**9, "s": [0.5, 0.1]}))
+    tracemalloc.start()
+    try:
+        code, out, err = _invoke(capsys, "bounds", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: moment LP of 3 rows and 1000000001 columns has 3000000003 cells, "
+        "above the budget of 1000000\n"
+    )
+    assert peak < 2**20
+
+
+def test_monte_carlo_budget_exits_before_sampling(capsys, fixtures_dir, monkeypatch):
+    def unreachable(*args):
+        pytest.fail("sampling started above the Monte Carlo budget")
+
+    monkeypatch.setattr(ProductMeasure, "sample", unreachable)
+    start = time.perf_counter()
+    code, out, err = _invoke(
+        capsys, "oracle", str(fixtures_dir / "example1.json"), "--engine", "mc",
+        "--samples", "100000000000",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 100000000000 samples times 5 boxes exceed the budget of "
+        "1000000000 point-in-box tests\n"
+    )

@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from boxbounds import oracle
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import PiecewiseCdf, ProductMeasure
@@ -142,6 +143,14 @@ def test_monte_carlo_validation():
     measure = ProductMeasure.uniform((0,), (1,))
     with pytest.raises(InputError):
         monte_carlo_union([], measure, 0, 0)
+
+
+def test_monte_carlo_budget(ex2, monkeypatch):
+    boxes, measure = ex2
+    monkeypatch.setattr(oracle, "MC_TEST_BUDGET", 10 * len(boxes))
+    assert monte_carlo_union(boxes, measure, 10, 0) == monte_carlo_union(boxes, measure, 10, 0)
+    with pytest.raises(InputError, match="budget"):
+        monte_carlo_union(boxes, measure, 11, 0)
 
 
 def test_monte_carlo_seed_changes_stream(ex2):

@@ -24,7 +24,6 @@ from boxbounds.screening import (
     count_cliques,
     enumerate_tuples,
     pair_verdicts,
-    screen_columns,
     screened_union,
     to_dot,
 )
@@ -345,32 +344,11 @@ def test_pair_pass_matches_meet_vertices(boxes, mode):
         assert all(type(v) is float for v in row.lower + row.upper)
         assert type(row.nonempty) is bool
 
-    # screen_columns: meet-source masks that rebuild the meet_vertices
-    # values, sign of zero included, and the ledger of the full walk
-    pairs, ledger = screen_columns(boxes, mode)
-    columns = zip(
-        pairs.first.tolist(),
-        pairs.second.tolist(),
-        pairs.lower_later.tolist(),
-        pairs.upper_later.tolist(),
-        pairs.nonempty.tolist(),
-    )
-    assert [
-        (
-            (i, j),
-            repr(tuple(boxes[j if later else i].lower[c] for c, later in enumerate(lower_later))),
-            repr(tuple(boxes[j if later else i].upper[c] for c, later in enumerate(upper_later))),
-            nonempty,
-        )
-        for i, j, lower_later, upper_later, nonempty in columns
-    ] == [
-        (pair, repr(lower), repr(upper), vertex_pair_nonempty(lower, upper, mode))
-        for pair, lower, upper in reference
-    ]
-    full = enumerate_tuples(boxes, mode, len(boxes))
-    assert ledger.levels.keys() == full.levels.keys()
-    for k in full.levels:
-        assert repr(ledger.entries(k)) == repr(full.entries(k))
+    # screen takes its pair verdicts from the walk's order 2: every pair
+    # that passes the test has both boxes among the walk's roots
+    level = enumerate_tuples(boxes, mode, 2).levels.get(2)
+    walked = set() if level is None else set(map(tuple, level.indices.tolist()))
+    assert walked == graph.edges == {r.indices for r in rows if r.nonempty}
 
     if boxes:
         measure = _pair_measure(boxes[0].dimension)
