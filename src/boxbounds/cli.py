@@ -7,6 +7,7 @@ failure (for example an infeasible LP on user-supplied moments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,10 @@ class GeometryProblem:
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise InputError(f"{what} is outside the float range") from exc
 
 
 def _vector(value, length: int, what: str) -> tuple[float, ...]:
@@ -124,7 +128,7 @@ def parse_geometry(doc) -> GeometryProblem:
     if not isinstance(doc, dict):
         raise InputError("problem file must be a JSON object")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise InputError("'dimension' must be a positive integer")
     measure = _parse_measure(doc.get("measure"), dimension)
     raw_boxes = doc.get("boxes")
@@ -156,7 +160,7 @@ def parse_moments(doc) -> MomentVector:
     if not isinstance(doc, dict):
         raise InputError("moments file must be a JSON object")
     n_events = doc.get("n_events")
-    if not isinstance(n_events, int) or n_events < 0:
+    if isinstance(n_events, bool) or not isinstance(n_events, int) or n_events < 0:
         raise InputError("'n_events' must be a nonnegative integer")
     s = doc.get("s")
     if not isinstance(s, list) or not s:
@@ -173,7 +177,9 @@ def load_document(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an integer literal past
+        # Python's digit limit, or arrays nested past the recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -616,10 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

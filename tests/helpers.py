@@ -1,7 +1,7 @@
 """Shared fixtures and independent test-side oracles."""
 
-from itertools import combinations
-from math import comb, floor, fsum
+from itertools import combinations, product
+from math import comb, floor, fsum, inf
 
 import numpy as np
 
@@ -73,6 +73,47 @@ def brute_force_tuples(boxes, mode, order):
         if vertex_pair_nonempty(lower, upper, mode):
             survivors.append(indices)
     return survivors
+
+
+def cell_loop_count_distribution(boxes, measure):
+    """Occurrence-count distribution p_0..p_N by a per-cell Python loop.
+
+    The reference the cell oracle's array sweep is held to bit for bit:
+    per axis, the intervals between sorted unique box bounds that carry
+    mass, each with a bitmask of the boxes spanning it; per grid cell, the
+    product of its interval masses in axis order and the AND of their
+    masks, whose popcount picks the bucket; per count, the fsum of its
+    bucket.
+    """
+    n_boxes = len(boxes)
+    if n_boxes == 0:
+        return (1.0,)
+    axes = []
+    for k in range(boxes[0].dimension):
+        cuts = sorted({box.lower[k] for box in boxes} | {box.upper[k] for box in boxes})
+        points = [-inf, *cuts, inf]
+        cells = []
+        for lo, hi in zip(points, points[1:]):
+            prob = measure.interval_probability(k, lo, hi)
+            if prob == 0.0:
+                continue
+            mask = 0
+            for i, box in enumerate(boxes):
+                if box.lower[k] <= lo and hi <= box.upper[k]:
+                    mask |= 1 << i
+            cells.append((prob, mask))
+        axes.append(cells)
+
+    buckets = [[] for _ in range(n_boxes + 1)]
+    all_covered = (1 << n_boxes) - 1
+    for cell in product(*axes):
+        mask = all_covered
+        prob = 1.0
+        for axis_prob, axis_mask in cell:
+            prob *= axis_prob
+            mask &= axis_mask
+        buckets[mask.bit_count()].append(prob)
+    return tuple(fsum(bucket) for bucket in buckets)
 
 
 def random_count_distribution(rng, n_events):

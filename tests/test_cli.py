@@ -448,3 +448,85 @@ def test_monte_carlo_budget_exits_before_sampling(capsys, fixtures_dir, monkeypa
         "error: 100000000000 samples times 5 boxes exceed the budget of "
         "1000000000 point-in-box tests\n"
     )
+
+
+def _geometry_text(upper="1", knot="1"):
+    """A one-box problem file with the given box upper bound and CDF knot."""
+    return (
+        '{"dimension": 1, "measure": {"type": "marginals", "marginals": [{"type": '
+        f'"piecewise", "knots": [0, {knot}], "values": [0, 1]}}]}}, '
+        f'"boxes": [{{"id": "A", "lower": [0], "upper": [{upper}]}}]}}'
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("union", b"\xff\xfe{}"),  # not UTF-8
+        ("union", _geometry_text(upper="9" * 5000)),  # past the int digit limit
+        ("union", b"[" * 100_000 + b"]" * 100_000),  # past the recursion limit
+        ("union", _geometry_text(upper="9" * 400)),  # beyond the float range
+        ("union", _geometry_text(knot="9" * 400)),
+        ("bounds", ('{"n_events": 3, "s": [' + "9" * 400 + "]}").encode()),
+    ],
+    ids=["non-utf8", "5000-digits", "deep-nesting", "huge-coordinate", "huge-knot", "huge-s"],
+)
+def test_malformed_input_exits_1(capsys, tmp_path, command, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    code, out, err = _invoke(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("union", {"dimension": True, "measure": {"type": "uniform", "lower": [0], "upper": [1]},
+                   "boxes": []}, "'dimension' must be a positive integer"),
+        ("bounds", {"n_events": True, "s": [0.5]}, "'n_events' must be a nonnegative integer"),
+    ],
+)
+def test_integer_fields_reject_booleans(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_negative_seed_exits_1(capsys, fixtures_dir):
+    code, out, err = _invoke(
+        capsys, "oracle", str(fixtures_dir / "example1.json"), "--engine", "mc", "--seed", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be nonnegative, got -1\n"
+
+
+def test_cells_oracle_on_44_dense_boxes(capsys):
+    path = str(ROOT / "tests/golden/dense-n44-d2.json")
+    code, out, _ = _invoke(capsys, "oracle", path, "--engine", "cells", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["p"]) == 45
+    code, out, _ = _invoke(capsys, "union", path, "--format", "json")
+    assert code == 0
+    assert doc["union"] == pytest.approx(json.loads(out)["q"], abs=1e-12)
+
+
+def test_cells_budget_exits_before_the_grid_is_built(capsys, tmp_path):
+    doc = {
+        "dimension": 3,
+        "measure": {"type": "uniform", "lower": [0, 0, 0], "upper": [1, 1, 1]},
+        "boxes": [{"id": f"A{i}", "lower": [i] * 3, "upper": [i + 0.5] * 3} for i in range(2000)],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _invoke(capsys, "oracle", str(path), "--engine", "cells")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 64048012001 grid cells times 2000 boxes exceed the budget of "
+        "100000000 cell-in-box tests\n"
+    )

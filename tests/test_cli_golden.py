@@ -7,9 +7,11 @@ binomial moments and union of a count distribution drawn as
 ``default_rng(N).dirichlet(np.full(N + 1, 0.7))``.  ``screen`` also runs
 on ``tests/golden/screen-edges.json``, nine hand-made boxes with ±0.0,
 ±inf, subnormal and extreme coordinates, touching faces, zero widths and
-ids that JSON must escape, at every ``--max-order`` from 0 to N + 1.  The
-recorded outputs live in ``tests/golden/cli_stdout.json``; regenerate them
-only for an intended output change, with
+ids that JSON must escape, at every ``--max-order`` from 0 to N + 1, and
+the cell oracle runs on the same file, whose infinite and subnormal cuts
+border zero-mass grid cells.  The recorded outputs live in
+``tests/golden/cli_stdout.json``; regenerate them only for an intended
+output change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -94,6 +96,8 @@ def cases():
         for fmt in FORMATS:
             for mode in MODES:
                 out.append(["screen", SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt])
+    for fmt in FORMATS:
+        out.append(["oracle", SCREEN_EDGES, "--engine", "cells", "--format", fmt])
     for name, m, r in MOMENTS:
         path = f"tests/golden/{name}.json"
         for fmt in FORMATS:

@@ -1,9 +1,13 @@
-from math import sqrt
+import tracemalloc
+from math import inf, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boxbounds import oracle
+from boxbounds.bounding import atleast_r_bounds, union_bounds
+from boxbounds.cli import load_document, parse_geometry
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import PiecewiseCdf, ProductMeasure
@@ -16,7 +20,9 @@ from boxbounds.oracle import (
 )
 from boxbounds.screening import binomial_moments, screened_union
 
-from helpers import random_instance
+from helpers import cell_loop_count_distribution, random_instance
+
+DENSE = Path(__file__).parent / "golden" / "dense-n44-d2.json"
 
 
 def test_full_ie_example2(ex2):
@@ -75,11 +81,110 @@ def test_cells_single_box():
 def test_cells_caps():
     measure1 = ProductMeasure.uniform((0,), (1,))
     boxes = [Box(f"A{i}", (0,), (1,)) for i in range(13)]
-    with pytest.raises(InputError):
-        exact_count_distribution(boxes, measure1)
+    assert exact_count_distribution(boxes, measure1).p == (0.0,) * 13 + (1.0,)
     measure4 = ProductMeasure.uniform((0, 0, 0, 0), (1, 1, 1, 1))
     with pytest.raises(InputError):
         exact_count_distribution([Box("A", (0, 0, 0, 0), (1, 1, 1, 1))], measure4)
+
+
+# Coordinates at the edges of float arithmetic: infinities, both zeros, the
+# smallest subnormal, and values far below and above the measure's scale.
+EDGE_COORDINATES = (-inf, -1e300, -1e-7, -0.0, 0.0, 5e-324, 1e-7, 0.5, 1.0, 1e300, inf)
+
+
+def edge_instance(rng, max_events=12, max_dim=3):
+    """Random boxes with corners drawn from EDGE_COORDINATES on [0, 1]^dim.
+
+    The small pool makes touching faces and zero widths common; the
+    measure is uniform or piecewise with a knot between 0 and 1e-7.
+    """
+    dim = int(rng.integers(1, max_dim + 1))
+    boxes = []
+    for i in range(int(rng.integers(1, max_events + 1))):
+        corners = rng.choice(len(EDGE_COORDINATES), size=(2, dim))
+        lower = [EDGE_COORDINATES[j] for j in corners.min(axis=0)]
+        upper = [EDGE_COORDINATES[j] for j in corners.max(axis=0)]
+        boxes.append(Box(f"A{i + 1}", lower, upper))
+    if rng.integers(0, 2):
+        return boxes, ProductMeasure.uniform((0.0,) * dim, (1.0,) * dim)
+    piecewise = PiecewiseCdf((0.0, 5e-8, 0.75, 1.0), (0.0, 0.125, 0.5, 1.0))
+    return boxes, ProductMeasure((piecewise,) * dim)
+
+
+def sweep_corpus():
+    """(boxes, measure) instances with N <= 12 and d <= 3: random grid and
+    continuous corners on uniform and piecewise marginals, and edge cases."""
+    rng = np.random.default_rng(1013)
+    piecewise = PiecewiseCdf((0.0, 2.0, 3.0, 6.0), (0.0, 0.2, 0.7, 1.0))
+    for i in range(600):
+        boxes, measure = random_instance(rng, max_events=12)
+        if i % 3 == 0:
+            measure = ProductMeasure((piecewise,) * measure.dimension)
+        yield boxes, measure
+    for _ in range(200):
+        yield edge_instance(rng)
+
+
+def test_sweep_matches_the_cell_loop():
+    for boxes, measure in sweep_corpus():
+        assert exact_count_distribution(boxes, measure).p == cell_loop_count_distribution(
+            boxes, measure
+        )
+
+
+def test_cells_on_44_dense_boxes_agree_with_screening_and_bounds():
+    problem = parse_geometry(load_document(str(DENSE)))
+    boxes, measure = problem.boxes, problem.measure
+    dist = exact_count_distribution(boxes, measure)
+    assert dist.n_events == 44
+    assert dist.union() == pytest.approx(screened_union(boxes, measure).q, abs=1e-12)
+    moments = binomial_moments(boxes, measure, m=3)
+    for k in range(1, 4):
+        assert dist.binomial_moment(k) == pytest.approx(moments.s_k(k), abs=1e-12)
+    for m in (2, 3):
+        for pair, truth in (
+            (union_bounds(moments, m, include_p0=True), dist.union()),
+            (atleast_r_bounds(moments, 2, m), dist.at_least(2)),
+        ):
+            assert pair.lower - 1e-9 <= truth <= pair.upper + 1e-9
+
+
+def grid_boxes(n_boxes, dim):
+    """n_boxes unit-offset boxes whose bounds are all distinct on every axis,
+    so the grid has (2 n_boxes + 1)^dim cells."""
+    return [Box(f"A{i}", (i,) * dim, (i + 0.5,) * dim) for i in range(n_boxes)]
+
+
+def test_cells_budget_edge(monkeypatch):
+    boxes = grid_boxes(4, 2)
+    measure = ProductMeasure.uniform((0, 0), (4, 4))
+    tests = 9**2 * 4
+    monkeypatch.setattr(oracle, "CELL_TEST_BUDGET", tests)
+    assert exact_count_distribution(boxes, measure).union() == pytest.approx(4 / 64)
+    monkeypatch.setattr(oracle, "CELL_TEST_BUDGET", tests - 1)
+    message = f"81 grid cells times 4 boxes exceed the budget of {tests - 1} cell-in-box"
+    with pytest.raises(InputError, match=message):
+        exact_count_distribution(boxes, measure)
+
+
+def test_cells_far_over_budget_raises_before_allocating():
+    boxes = grid_boxes(3000, 3)
+    measure = ProductMeasure.uniform((0, 0, 0), (1, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="budget"):
+            exact_count_distribution(boxes, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_cells_dimension_mismatch_comes_first(monkeypatch):
+    monkeypatch.setattr(oracle, "CELL_TEST_BUDGET", 0)
+    measure = ProductMeasure.uniform((0,), (1,))
+    with pytest.raises(InputError, match="dimension 2, measure has 1"):
+        exact_count_distribution([Box("A", (0, 0), (1, 1))], measure)
 
 
 def test_count_distribution_validation():
@@ -143,6 +248,15 @@ def test_monte_carlo_validation():
     measure = ProductMeasure.uniform((0,), (1,))
     with pytest.raises(InputError):
         monte_carlo_union([], measure, 0, 0)
+
+
+def test_monte_carlo_negative_seed_raises_before_sampling(ex2, monkeypatch):
+    def unreachable(*args):
+        pytest.fail("sampling started with a negative seed")
+
+    monkeypatch.setattr(ProductMeasure, "sample", unreachable)
+    with pytest.raises(InputError, match="seed must be nonnegative"):
+        monte_carlo_union(*ex2, samples=10, seed=-1)
 
 
 def test_monte_carlo_budget(ex2, monkeypatch):
