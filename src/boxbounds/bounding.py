@@ -37,7 +37,12 @@ PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 64  # degenerate pivots tolerated before Bland's rule takes over
 _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
-_ATOM_CAP = 12  # Boolean LP has 2^N variables
+# Cells (rows times columns) of the Boolean atom LP's constraint matrix:
+# 1 + sum_{k<=m} C(N, k) rows over 2^N atoms.  It admits N = 8 at every m,
+# (10, 2) and (12, 1), and rejects (9, 3), whose simplex ran past a minute
+# to the pivot cap.  The slowest admitted shape measured, N = 8 and m = 6
+# on overlapping 2-d boxes, takes up to 15 s; (10, 2) takes 0.5 s.
+_ATOM_CELL_BUDGET = 1 << 16
 # Cells (rows times columns) of the dense moment matrix a moment LP may
 # hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
 MOMENT_CELL_BUDGET = 1_000_000
@@ -576,10 +581,20 @@ def boolean_system_from_boxes(
     return BooleanSystem(n, m, p)
 
 
-def check_atom_cap(n_events: int) -> None:
-    """Reject an atom LP over more than 2^_ATOM_CAP occurrence patterns."""
-    if n_events > _ATOM_CAP:
-        raise InputError(f"event count {n_events} above the 2^N atom cap ({_ATOM_CAP})")
+def check_atom_cap(n_events: int, m: int) -> None:
+    """Reject an atom LP whose matrix holds more than _ATOM_CELL_BUDGET cells.
+
+    The row count stops growing once the budget is passed, so a large N
+    costs one binomial coefficient.
+    """
+    rows = 1
+    for k in range(1, m + 1):
+        rows += comb(n_events, k)
+        if rows << n_events > _ATOM_CELL_BUDGET:
+            raise InputError(
+                f"Boolean atom LP over 2^{n_events} atoms with subsets up to order {m} "
+                f"exceeds the budget of {_ATOM_CELL_BUDGET} matrix cells"
+            )
 
 
 def boolean_lp_bounds(
@@ -593,7 +608,7 @@ def boolean_lp_bounds(
     (|J| = r).
     """
     n = system.n_events
-    check_atom_cap(n)
+    check_atom_cap(n, system.m)
     if target == "union":
         if r is not None:
             raise InputError("r is meaningless for the union target")

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -195,10 +196,6 @@ def _resolve_mode(args, problem: GeometryProblem) -> EmptinessMode:
 # Rendering
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
 def _table_texts(values: np.ndarray) -> np.ndarray:
     """Each float of an array in the table's "g" format, as an object array."""
     texts = list(map(format, values.ravel().tolist(), repeat("g")))
@@ -235,9 +232,43 @@ def _order_name(k: int) -> str:
     return {2: "pairs", 3: "triples"}.get(k, f"{k}-tuples")
 
 
-def _kv_table(pairs) -> str:
-    width = max(len(key) for key, _ in pairs)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs)
+def _digits(n: int) -> str:
+    """The decimal digits of an int, at any size.
+
+    str refuses an int of more than sys.get_int_max_str_digits() digits
+    (4,300 by default; terms_full = 2**N - 1 passes it from N = 14,285 on).
+    Decimal takes the int exactly and prints it without that limit.
+    """
+    return str(Decimal(n))
+
+
+def _cell(value) -> str:
+    """A table cell: a float in .12g, an int in full, any other value by str."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return _digits(value) if type(value) is int else str(value)
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2), with each top-level int written by _digits.
+
+    Each such int goes to json.dumps as null.  At indent=2 only a
+    top-level key follows a newline, two spaces and a quote, as strings
+    escape their newlines, so the key's line finds its null.
+    """
+    ints = {key: value for key, value in doc.items() if type(value) is int}
+    text = json.dumps({**doc, **dict.fromkeys(ints)}, indent=2)
+    for key, value in ints.items():
+        line = f"\n  {json.dumps(key)}: "
+        text = text.replace(line + "null", line + _digits(value))
+    return text
+
+
+def _kv_table(fields) -> str:
+    """The labelled fields as aligned "label  value" lines."""
+    rows = [(label, _cell(value)) for _, label, value in fields if label is not None]
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows)
 
 
 def _screen_sections(boxes, ledger, max_order, texts):
@@ -314,7 +345,7 @@ def _screen_json(mode, ids, sections, terms_used, terms_full) -> str:
         f'{{\n  "version": {JSON_VERSION},\n  "command": "screen",\n'
         f'  "mode": {encode_basestring_ascii(mode.value)},\n  "n_events": {len(ids)},\n'
         f'  "orders": {orders},\n  "terms_used": {terms_used},\n'
-        f'  "terms_full": {terms_full}\n}}'
+        f'  "terms_full": {_digits(terms_full)}\n}}'
     )
 
 
@@ -336,12 +367,17 @@ def _screen_table(ids, sections, terms_used, terms_full) -> str:
         verdicts = map(("no good", "yes").__getitem__, nonempty)
         lines.extend(map("{}  {}".format, map(str.ljust, cells, repeat(width)), verdicts))
         lines.append("")
-    lines.append(f"retained {terms_used} of {terms_full} inclusion-exclusion terms")
+    lines.append(f"retained {terms_used} of {_digits(terms_full)} inclusion-exclusion terms")
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each returns its output once, as (json_key, table_label, value) fields in
+# output order: a None key leaves a field out of the JSON document, a None
+# label leaves it out of the table.  run writes the versioned envelope and
+# both formats.  screen, and graph's table, come back as rendered text.
 
 
 def _cmd_screen(args) -> str:
@@ -365,22 +401,12 @@ def _cmd_union(args):
     problem = parse_geometry(load_document(args.file))
     mode = _resolve_mode(args, problem)
     result = screened_union(problem.boxes, problem.measure, mode)
-    doc = {
-        "version": JSON_VERSION,
-        "command": "union",
-        "mode": mode.value,
-        "q": result.q,
-        "terms_used": result.terms_used,
-        "terms_full": result.terms_full,
-    }
-    table = _kv_table(
-        [
-            ("q", _fmt(result.q)),
-            ("terms used", str(result.terms_used)),
-            ("terms full", str(result.terms_full)),
-        ]
-    )
-    return doc, table
+    return [
+        ("mode", None, mode.value),
+        ("q", "q", result.q),
+        ("terms_used", "terms used", result.terms_used),
+        ("terms_full", "terms full", result.terms_full),
+    ]
 
 
 def _cmd_moments(args):
@@ -388,21 +414,19 @@ def _cmd_moments(args):
     mode = _resolve_mode(args, problem)
     n = len(problem.boxes)
     m = n if args.m is None else args.m
+    if args.m is not None and m < 1:  # an empty s is no valid bounds input
+        raise InputError(f"--m {m} is below 1")
     if m > n:
         raise InputError(f"--m {m} exceeds the event count {n}")
     moments = binomial_moments(problem.boxes, problem.measure, mode, m)
-    doc = {
-        "version": JSON_VERSION,
-        "command": "moments",
-        "mode": mode.value,
-        "n_events": moments.n_events,
-        "m": moments.m,
-        "s": list(moments.s),
-        "q": moments.q,
-    }
-    pairs = [(f"S_{k}", _fmt(moments.s[k - 1])) for k in range(1, moments.m + 1)]
-    pairs.append(("q", _fmt(moments.q)))
-    return doc, _kv_table(pairs)
+    return [
+        ("mode", None, mode.value),
+        ("n_events", None, moments.n_events),
+        ("m", None, moments.m),
+        ("s", None, list(moments.s)),
+        *((None, f"S_{k}", s_k) for k, s_k in enumerate(moments.s, 1)),
+        ("q", "q", moments.q),
+    ]
 
 
 def _bounds_inputs(args):
@@ -459,7 +483,7 @@ def _cmd_bounds(args):
         if args.with_q:
             raise InputError("--with-q does not apply to the boolean method")
         if 1 <= m <= n:  # boolean_system_from_boxes reports any other m first
-            check_atom_cap(n)
+            check_atom_cap(n, m)
         system = boolean_system_from_boxes(problem.boxes, problem.measure, m)
         result = boolean_lp_bounds(system, target, r)
     else:  # hunter-worsley
@@ -471,77 +495,44 @@ def _cmd_bounds(args):
             raise InputError("--with-q does not apply to the hunter-worsley method")
         ledger = enumerate_tuples(problem.boxes, mode, 2, problem.measure)
         upper = hunter_worsley_upper(ledger.order_sum(1), ledger.probabilities(2), n)
-        doc = {
-            "version": JSON_VERSION,
-            "command": "bounds",
-            "method": "hunter-worsley",
-            "target": "union",
-            "upper": upper,
-        }
-        table = _kv_table([("method", "hunter-worsley"), ("target", "union"), ("upper", _fmt(upper))])
-        return doc, table
-
-    doc = {
-        "version": JSON_VERSION,
-        "command": "bounds",
-        "method": result.method,
-        "target": target,
-        "r": r,
-        "m": m,
-        "with_q": bool(args.with_q),
-        "lower": result.lower,
-        "upper": result.upper,
-    }
-    target_text = target if r is None else f"{target} r={r}"
-    table = _kv_table(
-        [
-            ("method", result.method),
-            ("target", target_text),
-            ("lower", _fmt(result.lower)),
-            ("upper", _fmt(result.upper)),
+        return [
+            ("method", "method", "hunter-worsley"),
+            ("target", "target", "union"),
+            ("upper", "upper", upper),
         ]
-    )
-    return doc, table
+
+    return [
+        ("method", "method", result.method),
+        ("target", None, target),
+        (None, "target", target if r is None else f"{target} r={r}"),
+        ("r", None, r),
+        ("m", None, m),
+        ("with_q", None, bool(args.with_q)),
+        ("lower", "lower", result.lower),
+        ("upper", "upper", result.upper),
+    ]
 
 
 def _cmd_oracle(args):
     problem = parse_geometry(load_document(args.file))
     boxes, measure = problem.boxes, problem.measure
+    fields = [("engine", None, args.engine)]
     if args.engine == "ie":
-        q = full_inclusion_exclusion_union(boxes, measure)
-        doc = {"version": JSON_VERSION, "command": "oracle", "engine": "ie", "q": q}
-        return doc, _kv_table([("q", _fmt(q))])
-    if args.engine == "cells":
+        fields.append(("q", "q", full_inclusion_exclusion_union(boxes, measure)))
+    elif args.engine == "cells":
         dist = exact_count_distribution(boxes, measure)
-        doc = {
-            "version": JSON_VERSION,
-            "command": "oracle",
-            "engine": "cells",
-            "p": list(dist.p),
-            "union": dist.union(),
-        }
-        pairs = [(f"p_{i}", _fmt(v)) for i, v in enumerate(dist.p)]
-        pairs.append(("union", _fmt(dist.union())))
-        return doc, _kv_table(pairs)
-    result = monte_carlo_union(boxes, measure, args.samples, args.seed)
-    doc = {
-        "version": JSON_VERSION,
-        "command": "oracle",
-        "engine": "mc",
-        "estimate": result.estimate,
-        "standard_error": result.standard_error,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    table = _kv_table(
-        [
-            ("estimate", _fmt(result.estimate)),
-            ("standard error", _fmt(result.standard_error)),
-            ("samples", str(args.samples)),
-            ("seed", str(args.seed)),
+        fields.append(("p", None, list(dist.p)))
+        fields.extend((None, f"p_{i}", p_i) for i, p_i in enumerate(dist.p))
+        fields.append(("union", "union", dist.union()))
+    else:
+        result = monte_carlo_union(boxes, measure, args.samples, args.seed)
+        fields += [
+            ("estimate", "estimate", result.estimate),
+            ("standard_error", "standard error", result.standard_error),
+            ("samples", "samples", args.samples),
+            ("seed", "seed", args.seed),
         ]
-    )
-    return doc, table
+    return fields
 
 
 def _cmd_graph(args):
@@ -549,8 +540,9 @@ def _cmd_graph(args):
     mode = _resolve_mode(args, problem)
     graph = build_graph(problem.boxes, mode)
     dot = to_dot(graph, [box.id for box in problem.boxes])
-    doc = {"version": JSON_VERSION, "command": "graph", "mode": mode.value, "dot": dot}
-    return doc, dot.rstrip("\n")
+    if args.format == "table":
+        return dot.rstrip("\n")
+    return [("mode", None, mode.value), ("dot", None, dot)]
 
 
 _COMMANDS = {
@@ -649,10 +641,14 @@ def run(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    if not isinstance(output, str):  # a pre-rendered string prints as it is
-        doc, table = output
-        output = json.dumps(doc, indent=2) if args.format == "json" else table
-    print(output)
+    if isinstance(output, str):  # pre-rendered: screen, and graph's table
+        print(output)
+    elif args.format == "json":
+        doc = {"version": JSON_VERSION, "command": args.command}
+        doc.update((key, value) for key, _, value in output if key is not None)
+        print(_json_text(doc))
+    else:
+        print(_kv_table(output))
     return 0
 
 

@@ -15,6 +15,7 @@ from boxbounds.bounding import (
     atleast_r_bounds,
     boolean_lp_bounds,
     boolean_system_from_boxes,
+    check_atom_cap,
     exactly_r_bounds,
     hunter_worsley_upper,
     pairwise_probabilities,
@@ -522,6 +523,14 @@ def test_boolean_event_cap():
     system = BooleanSystem(n, 1, p)
     with pytest.raises(InputError):
         boolean_lp_bounds(system, "union")
+
+
+def test_atom_budget_edge():
+    check_atom_cap(8, 8)  # 256 rows over 256 atoms: 2^16 cells, at the budget
+    check_atom_cap(12, 1)
+    for n, m in ((9, 3), (13, 1), (10**5, 10**5)):
+        with pytest.raises(InputError, match="exceeds the budget of 65536 matrix cells"):
+            check_atom_cap(n, m)
 
 
 def test_boolean_inconsistent_probabilities_raise():

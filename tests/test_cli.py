@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from boxbounds.bounding import hunter_worsley_upper, pairwise_probabilities
 from boxbounds.cli import run
 from boxbounds.geometry import EmptinessMode
 from boxbounds.measure import ProductMeasure
-from boxbounds.screening import binomial_moments
+from boxbounds.screening import UnionResult, binomial_moments
 
 from helpers import random_instance
 
@@ -88,6 +89,53 @@ def test_moments_roundtrip_into_bounds(capsys, fixtures_dir, tmp_path):
     bounds_doc = json.loads(out2)
     assert bounds_doc["lower"] == pytest.approx(0.224, abs=1e-9)
     assert bounds_doc["lower"] - 1e-9 <= 0.224 <= bounds_doc["upper"] + 1e-9
+
+
+def test_moments_m_below_1_exits_1(capsys, fixtures_dir, tmp_path):
+    # An empty s is no valid bounds input, so moments must not write one.
+    path = str(fixtures_dir / "example1.json")
+    for m in ("0", "-1"):
+        for fmt in ("table", "json"):
+            code, out, err = _invoke(capsys, "moments", path, "--m", m, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == f"error: --m {m} is below 1\n"
+    # Without --m a file with no boxes still lists its zero moments.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**json.loads(Path(path).read_text()), "boxes": []}))
+    code, out, _ = _invoke(capsys, "moments", str(empty), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["s"] == []
+
+
+def _exact_digits(n: int) -> str:
+    """The decimal digits of n, from chunks that each stay under the digit limit."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**1000)
+        chunks.append(low)
+    return str(chunks[-1]) + "".join(f"{chunk:01000d}" for chunk in reversed(chunks[:-1]))
+
+
+def test_terms_full_past_the_int_digit_limit(capsys, fixtures_dir, monkeypatch):
+    # 2**15000 - 1 has 4,516 digits, past Python's default limit of 4,300.
+    limit = sys.get_int_max_str_digits()
+    terms_full = 2**15000 - 1
+    digits = _exact_digits(terms_full)
+    assert len(digits) == 4516
+    monkeypatch.setattr(cli, "screened_union", lambda *args: UnionResult(0.5, 1, terms_full))
+    path = str(fixtures_dir / "example1.json")
+    code, out, _ = _invoke(capsys, "union", path, "--format", "table")
+    assert code == 0
+    assert out == f"q           0.5\nterms used  1\nterms full  {digits}\n"
+    code, out, _ = _invoke(capsys, "union", path, "--format", "json")
+    assert code == 0
+    assert out.endswith(f'"terms_used": 1,\n  "terms_full": {digits}\n}}\n')
+    ids = np.array(["A"], dtype=object)
+    screen = cli._screen_json(EmptinessMode.POSITIVE_MEASURE, ids, [], 1, terms_full)
+    assert screen.endswith(f'"terms_used": 1,\n  "terms_full": {digits}\n}}')
+    screen = cli._screen_table(ids, [], 1, terms_full)
+    assert screen == f"retained 1 of {digits} inclusion-exclusion terms"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_bounds_atleast_with_q(capsys, fixtures_dir):
@@ -390,7 +438,37 @@ def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, mon
     monkeypatch.setattr(cli, "boolean_system_from_boxes", unreachable)
     code, out, err = _invoke(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "error: event count 13 above the 2^N atom cap (12)\n"
+    assert err == (
+        "error: Boolean atom LP over 2^13 atoms with subsets up to order 3 exceeds "
+        "the budget of 65536 matrix cells\n"
+    )
+
+
+def test_boolean_atom_budget_exits_fast_on_nine_overlapping_boxes(capsys, tmp_path):
+    # The m = 3 LP has 130 rows over 2^9 atoms.  Solving it took about 7 s
+    # on these boxes, and a minute to the pivot cap on others drawn the
+    # same way.
+    rng = np.random.default_rng(9)
+    lower = rng.uniform(0, 10, (9, 2))
+    upper = lower + rng.uniform(60, 90, (9, 2))
+    doc = {
+        "dimension": 2,
+        "measure": {"type": "uniform", "lower": [0, 0], "upper": [100, 100]},
+        "boxes": [
+            {"id": f"A{i}", "lower": lower[i].tolist(), "upper": upper[i].tolist()}
+            for i in range(9)
+        ],
+    }
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _invoke(capsys, "bounds", str(path), "--method", "boolean", "--m", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: Boolean atom LP over 2^9 atoms with subsets up to order 3 exceeds "
+        "the budget of 65536 matrix cells\n"
+    )
 
 
 @pytest.mark.parametrize(
