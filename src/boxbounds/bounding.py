@@ -15,13 +15,15 @@ Four families live here, all driven by one small dense LP solver:
 The solver is a two-phase dense tableau simplex: fast most-negative
 entering with Bland's anti-cycling rule as the fallback under degeneracy,
 plus periodic tableau rebuilds from the original data so rounding error
-cannot accumulate over long degenerate crawls.  Every problem here has at
-most a few hundred rows, so a dense tableau is plenty.
+cannot accumulate over long degenerate crawls.  Phase 1 never reads the
+objective, so a bound pair runs it once and starts both phase 2 solves
+from its basis.  Every problem here has at most a few hundred rows, so a
+dense tableau is plenty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -38,10 +40,12 @@ _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 64  # degenerate pivots tolerated before Bland's rule takes over
 _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 # Cells (rows times columns) of the Boolean atom LP's constraint matrix:
-# 1 + sum_{k<=m} C(N, k) rows over 2^N atoms.  It admits N = 8 at every m,
-# (10, 2) and (12, 1), and rejects (9, 3), whose simplex ran past a minute
-# to the pivot cap.  The slowest admitted shape measured, N = 8 and m = 6
-# on overlapping 2-d boxes, takes up to 15 s; (10, 2) takes 0.5 s.
+# 1 + sum_{k<=m} C(N, k) rows over 2^N atoms, counted before zero p_I drop
+# any.  It admits N = 8 at every m, (10, 2) and (12, 1), and rejects
+# (9, 3), whose simplex ran past a minute to the pivot cap.  Overlapping
+# 2-d boxes have no zero p_I, so every atom stays: at N = 8 a bound pair
+# takes up to 6 s for m = 4..7 and 20 s for m = 8.  Random 2-d boxes at
+# (8, 3) and (10, 2) keep few atoms and take 5 ms.
 _ATOM_CELL_BUDGET = 1 << 16
 # Cells (rows times columns) of the dense moment matrix a moment LP may
 # hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
@@ -100,6 +104,8 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     solution: tuple[float, ...] | None = None
+    # The phase-1 start an optimal solve began from, for solve_lp's start.
+    _start: _Start | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,22 @@ def _pivot_until_optimal(
     raise ArithmeticError("simplex did not terminate within the pivot cap")
 
 
-def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """A feasible basis from phase 1, over the rows it kept.
+
+    a and b are those rows with every row of negative right-hand side
+    sign-flipped.  Phase 1 never reads the objective, so one start serves
+    the min and the max of any objective over the same rows.
+    """
+
+    basis: tuple[int, ...]
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _phase1(a: np.ndarray, b: np.ndarray) -> _Start | None:
+    """A feasible basis of a x = b, x >= 0, or None when there is none."""
     m, n = a.shape
     a = a.copy()
     b = b.copy()
@@ -262,7 +283,7 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: artificial basis, drive the artificial total to zero.
+    # Artificial basis, drive the artificial total to zero.
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     tableau = np.zeros((m + 1, n + m + 1))
@@ -273,7 +294,7 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
     basis = list(range(n, n + m))
     _pivot_until_optimal(tableau, basis, a1, b, c1)
     if -tableau[m, -1] > PIVOT_TOL:
-        return LpResult(status="infeasible")
+        return None
 
     # Pivot leftover artificials out; an all-zero row is redundant and dropped.
     drop = []
@@ -293,12 +314,14 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
             _pivot(tableau, basis, i, col)
             in_basis.add(col)
     keep = [i for i in range(m) if i not in drop]
-    basis = [basis[i] for i in keep]
-    rows = len(keep)
+    return _Start(tuple(basis[i] for i in keep), a[keep], b[keep])
 
-    # Phase 2: original columns only, fresh objective row.
-    a2 = a[keep]
-    b2 = b[keep]
+
+def _phase2(c: np.ndarray, start: _Start) -> LpResult:
+    """min c . x from a phase-1 start, over the original columns only."""
+    basis = list(start.basis)
+    a2, b2 = start.a, start.b
+    rows, n = a2.shape
     phase2 = np.zeros((rows + 1, n + 1))
     _rebuild(phase2, basis, a2, b2, c)
     status = _pivot_until_optimal(phase2, basis, a2, b2, c)
@@ -314,20 +337,29 @@ def _simplex_min(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpResult:
         status="optimal",
         value=float(c @ x) + 0.0,  # + 0.0 turns a -0.0 optimum into 0.0
         solution=tuple(float(v) for v in x),
+        _start=start,
     )
 
 
-def solve_lp(problem: LpProblem) -> LpResult:
+def solve_lp(problem: LpProblem, start: _Start | None = None) -> LpResult:
     """Solve the LP; statuses 'infeasible' and 'unbounded' are returned, never
-    silently swallowed."""
+    silently swallowed.
+
+    start is the _start of an optimal result on the same a_eq and b_eq; it
+    skips phase 1, which gives the same basis whatever the objective.
+    """
     c, a, b = problem.objective, problem.a_eq, problem.b_eq
+    if start is None:
+        start = _phase1(a, b)
+        if start is None:
+            return LpResult(status="infeasible")
     if problem.sense == "min":
-        return _simplex_min(c, a, b)
-    result = _simplex_min(-c, a, b)
+        return _phase2(c, start)
+    result = _phase2(-c, start)
     if result.status != "optimal":
         return result
     # 0.0 - v, unlike -v, never gives -0.0
-    return LpResult(status="optimal", value=0.0 - result.value, solution=result.solution)
+    return replace(result, value=0.0 - result.value)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +383,16 @@ def _solve_pair(
     """
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
+    start = None  # phase 1 runs once, in the min solve
     for sense in ("min", "max"):
-        result = solve_lp(LpProblem(objective, sense, a_eq, b_eq))
+        result = solve_lp(LpProblem(objective, sense, a_eq, b_eq), start)
         if result.status != "optimal":
             raise InfeasibleBoundsError(
                 f"{method}: no distribution matches the supplied data ({result.status})",
                 result,
             )
         values.append(min(max(result.value, 0.0), 1.0) if capped else result.value)
+        start = result._start
     return BoundPair(*values, method)
 
 
@@ -605,7 +639,8 @@ def boolean_lp_bounds(
     One variable x_J per subset J of events (the probability that exactly
     the events in J occur), one equality per supplied p_I plus total mass
     one.  Targets: 'union' (J nonempty), 'atleast' (|J| >= r), 'exactly'
-    (|J| = r).
+    (|J| = r).  A supplied p_I <= 0 drops its row and every x_J with J
+    containing I, which that row holds at 0.
     """
     n = system.n_events
     check_atom_cap(n, system.m)
@@ -630,7 +665,12 @@ def boolean_lp_bounds(
     subsets = [c for k in range(1, system.m + 1) for c in combinations(range(n), k)]
     masks = np.array([sum(1 << i for i in subset) for subset in subsets])[:, None]
     incidence = (np.arange(1 << n) & masks) == masks
-    a_eq = np.vstack([np.ones(1 << n), incidence])
-    b_eq = np.array([1.0, *(system.p[frozenset(subset)] for subset in subsets)])
+    p = np.array([system.p[frozenset(subset)] for subset in subsets])
     sizes = incidence[:n].sum(axis=0)
-    return _solve_pair(sizes, lo, hi, a_eq, b_eq, f"boolean(m={system.m})")
+    # p_I <= 0 forces x_J = 0 for every atom J in the row of I: drop those
+    # atoms and the rows, which leaves an equivalent LP over the survivors.
+    zero = p <= 0.0
+    atoms = ~incidence[zero].any(axis=0)
+    a_eq = np.vstack([np.ones(np.count_nonzero(atoms)), incidence[~zero][:, atoms]])
+    b_eq = np.concatenate([[1.0], p[~zero]])
+    return _solve_pair(sizes[atoms], lo, hi, a_eq, b_eq, f"boolean(m={system.m})")

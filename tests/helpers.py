@@ -5,6 +5,8 @@ from math import comb, floor, fsum, inf
 
 import numpy as np
 
+from boxbounds import bounding
+from boxbounds.bounding import PIVOT_TOL, LpResult
 from boxbounds.geometry import Box, meet_vertices, vertex_pair_nonempty
 from boxbounds.measure import ProductMeasure
 from boxbounds.screening import MomentVector
@@ -176,3 +178,98 @@ def lp_optimum_by_vertex_enumeration(objective, rows, rhs, sense):
             else:
                 best = max(best, value)
     return best
+
+
+def two_call_simplex_min(c, a, b):
+    """min c . x over a x = b, x >= 0 by a full two-phase simplex of its own.
+
+    The solver as it was when each solve ran its own phase 1; the shared
+    phase 1 is held to it bit for bit.  It drives the package's pivoting,
+    rebuild and optimality loop.
+    """
+    m, n = a.shape
+    a = a.copy()
+    b = b.copy()
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    a1 = np.hstack([a, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, : n + m] = a1
+    tableau[:m, -1] = b
+    tableau[m, :n] = -a.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    bounding._pivot_until_optimal(tableau, basis, a1, b, c1)
+    if -tableau[m, -1] > PIVOT_TOL:
+        return LpResult(status="infeasible")
+
+    drop = []
+    in_basis = set(basis)
+    for i in range(m):
+        if basis[i] < n:
+            continue
+        row = tableau[i, :n]
+        col = next(
+            (j for j in range(n) if j not in in_basis and abs(row[j]) > PIVOT_TOL),
+            None,
+        )
+        if col is None:
+            drop.append(i)
+        else:
+            in_basis.discard(basis[i])
+            bounding._pivot(tableau, basis, i, col)
+            in_basis.add(col)
+    keep = [i for i in range(m) if i not in drop]
+    basis = [basis[i] for i in keep]
+    rows = len(keep)
+
+    a2 = a[keep]
+    b2 = b[keep]
+    phase2 = np.zeros((rows + 1, n + 1))
+    bounding._rebuild(phase2, basis, a2, b2, c)
+    status = bounding._pivot_until_optimal(phase2, basis, a2, b2, c)
+    if status == "unbounded":
+        return LpResult(status="unbounded")
+
+    bounding._rebuild(phase2, basis, a2, b2, c)
+    x = np.zeros(n)
+    for i, bj in enumerate(basis):
+        x[bj] = phase2[i, -1]
+    np.clip(x, 0.0, None, out=x)
+    return LpResult(
+        status="optimal",
+        value=float(c @ x) + 0.0,
+        solution=tuple(float(v) for v in x),
+    )
+
+
+def two_call_solve_lp(problem):
+    """solve_lp with a phase 1 in every call, the min and the max alike."""
+    c, a, b = problem.objective, problem.a_eq, problem.b_eq
+    if problem.sense == "min":
+        return two_call_simplex_min(c, a, b)
+    result = two_call_simplex_min(-c, a, b)
+    if result.status != "optimal":
+        return result
+    return LpResult(status="optimal", value=0.0 - result.value, solution=result.solution)
+
+
+def all_atom_lp_bounds(system, target, r=None):
+    """Boolean atom LP bounds with one column for each of the 2^N atoms.
+
+    The assembly as it was before zero rows and the atoms they cover were
+    dropped: the total-mass row, then one row per supplied subset by size
+    and lexicographically, over atoms in ascending bitmask order.
+    """
+    n = system.n_events
+    lo, hi = {"union": (1, n), "atleast": (r, n), "exactly": (r, r)}[target]
+    subsets = [c for k in range(1, system.m + 1) for c in combinations(range(n), k)]
+    masks = np.array([sum(1 << i for i in subset) for subset in subsets])[:, None]
+    incidence = (np.arange(1 << n) & masks) == masks
+    a_eq = np.vstack([np.ones(1 << n), incidence])
+    b_eq = np.array([1.0, *(system.p[frozenset(subset)] for subset in subsets)])
+    sizes = incidence[:n].sum(axis=0)
+    return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, f"boolean(m={system.m})")

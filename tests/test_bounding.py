@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from boxbounds.oracle import exact_count_distribution
 from boxbounds.screening import MomentVector, binomial_moments
 
 from helpers import (
+    all_atom_lp_bounds,
     dawson_sankoff_lower,
     lp_optimum_by_vertex_enumeration,
     moments_from_distribution,
     random_count_distribution,
     random_instance,
+    two_call_solve_lp,
     two_moment_upper,
 )
 
@@ -592,7 +595,7 @@ def recorded_lps(monkeypatch):
     """The LpProblems handed to solve_lp, each answered with value 0."""
     problems = []
 
-    def record(problem):
+    def record(problem, start=None):
         problems.append(problem)
         return LpResult(status="optimal", value=0.0)
 
@@ -669,6 +672,214 @@ def test_boolean_lp_matches_the_tuple_assembly(n, recorded_lps):
             boolean_lp_bounds(system, target, r)
             objective = tuple(1.0 if lo <= size <= hi else 0.0 for size in sizes)
             _assert_solved(recorded_lps, objective, rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# one phase 1 per bound pair, against the simplex that ran two
+
+
+def _bits(result):
+    """An LpResult's status, value and solution, floats as bytes (-0.0 != 0.0)."""
+    value = () if result.value is None else (result.value,)
+    return result.status, np.array(value).tobytes(), np.array(result.solution or ()).tobytes()
+
+
+def _atom_p(rng, n, m, forbidden=()):
+    """p_I, |I| <= m, of random atom masses, zero on each atom holding a forbidden set."""
+    atoms = np.arange(1 << n)
+    mass = rng.random(1 << n)
+    for subset in forbidden:
+        mask = sum(1 << i for i in subset)
+        mass[(atoms & mask) == mask] = 0.0
+    mass /= mass.sum()
+    p = {}
+    for k in range(1, m + 1):
+        for combo in combinations(range(n), k):
+            mask = sum(1 << i for i in combo)
+            p[frozenset(combo)] = float(mass[(atoms & mask) == mask].sum())
+    return p
+
+
+def _monotone_p(rng, n, m):
+    """p_I, |I| <= m, each at most every p_{I - i}; often no distribution fits."""
+    p = {}
+    for k in range(1, m + 1):
+        for combo in combinations(range(n), k):
+            key = frozenset(combo)
+            cap = min(p[key - {i}] for i in combo) if k > 1 else 1.0
+            p[key] = cap * float(rng.choice([0.0, rng.random(), 1.0]))
+    return p
+
+
+def _bound_call(data, rng):
+    """One bound function call over a drawn moment, q-moment or Boolean problem."""
+    kind = data.draw(st.sampled_from(["moment", "q-moment", "boolean"]))
+    consistent = data.draw(st.booleans())
+    if kind == "boolean":
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        p = _atom_p(rng, n, m) if consistent else _monotone_p(rng, n, m)
+        system = BooleanSystem(n, m, p)
+        target = data.draw(st.sampled_from(["union", "atleast", "exactly"]))
+        r = None if target == "union" else data.draw(st.integers(int(target == "atleast"), n))
+        return lambda: boolean_lp_bounds(system, target, r)
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, min(n, 6)))
+    moments = moments_from_distribution(random_count_distribution(rng, n), m)
+    if not consistent:
+        s = tuple(v * rng.uniform(0.5, 1.5) for v in moments.s)
+        moments = MomentVector(n, s, float(rng.random()))
+    r = data.draw(st.integers(1, n))
+    if kind == "q-moment":
+        bound = data.draw(st.sampled_from([q_atleast_bounds, q_exactly_bounds]))
+        return lambda: bound(moments, r, m)
+    return data.draw(st.sampled_from([
+        lambda: union_bounds(moments, m),
+        lambda: union_bounds(moments, m, include_p0=True),
+        lambda: atleast_r_bounds(moments, r, m),
+        lambda: exactly_r_bounds(moments, r - 1, m),
+    ]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_bound_pairs_match_the_two_call_simplex(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bound = _bound_call(data, rng)
+    solve = bounding.solve_lp
+    started = []
+
+    def checked(problem, start=None):
+        got = solve(problem, start)
+        assert _bits(got) == _bits(two_call_solve_lp(problem))
+        started.append(start is not None)
+        return got
+
+    with mock.patch.object(bounding, "solve_lp", checked):
+        try:
+            bound()
+        except InfeasibleBoundsError:
+            assert started == [False]
+        else:
+            assert started == [False, True]
+
+
+def test_a_bound_pair_runs_phase_1_once(monkeypatch):
+    phase1 = bounding._phase1
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return phase1(a, b)
+
+    monkeypatch.setattr(bounding, "_phase1", counted)
+    moments = moments_from_distribution((0.2, 0.3, 0.4, 0.1), 2)
+    system = BooleanSystem(3, 2, _atom_p(np.random.default_rng(5), 3, 2, [(0, 1)]))
+    for bound in (
+        lambda: union_bounds(moments, 2),
+        lambda: atleast_r_bounds(moments, 2, 2),
+        lambda: q_exactly_bounds(moments, 1, 2),
+        lambda: boolean_lp_bounds(system, "union"),
+        lambda: boolean_lp_bounds(system, "exactly", 1),
+    ):
+        bound()
+        assert len(calls) == 1
+        calls.clear()
+    with pytest.raises(InfeasibleBoundsError):
+        union_bounds(MomentVector(3, (0.5, 2.0)), 2)
+    assert len(calls) == 1
+    calls.clear()
+    # library callers of solve_lp still get a full solve each
+    problem = LpProblem((1.0, 1.0), "max", ((1.0, 2.0),), (1.0,))
+    assert solve_lp(problem).value == solve_lp(problem).value == 1.0
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Boolean atom LP over the surviving atoms, against all 2^N atoms
+
+
+def test_zero_rows_and_the_atoms_they_cover_are_dropped(recorded_lps):
+    p = _atom_p(np.random.default_rng(7), 3, 2, [(0, 1)])
+    assert [key for key, value in p.items() if value <= 0.0] == [frozenset({0, 1})]
+    system = BooleanSystem(3, 2, p)
+    rows, rhs = _tuple_boolean_rows(system)
+    atoms = [0b000, 0b001, 0b010, 0b100, 0b101, 0b110]  # none holds both 0 and 1
+    kept = [i for i, value in enumerate(rhs) if value > 0.0]
+    assert len(kept) == 6  # every row but {0, 1}
+    boolean_lp_bounds(system, "union")
+    _assert_solved(
+        recorded_lps,
+        [0.0 if atom == 0 else 1.0 for atom in atoms],
+        [[rows[i][atom] for atom in atoms] for i in kept],
+        [rhs[i] for i in kept],
+    )
+
+
+def _box_system(rng, n, m, overlapping):
+    """p_I of n random 2-d boxes, uniform on [0, 100]^2.
+
+    Overlapping boxes (lower corners in [0, 10]^2, sides 60-90) have no
+    zero p_I; sparse ones (corners in [0, 70]^2, sides 10-50) have many.
+    """
+    boxes = []
+    for i in range(n):
+        if overlapping:
+            lower, side = rng.uniform(0, 10, 2), rng.uniform(60, 90, 2)
+        else:
+            lower, side = rng.uniform(0, 70, 2), rng.uniform(10, 50, 2)
+        boxes.append(Box(f"A{i + 1}", tuple(lower), tuple(lower + side)))
+    measure = ProductMeasure.uniform((0.0, 0.0), (100.0, 100.0))
+    return boolean_system_from_boxes(boxes, measure, m)
+
+
+def _corpus():
+    """(label, n, top m, system builder of m) with zeros of every kind, and none.
+
+    The all-atom LP over 2^8 atoms takes seconds from m = 3 on, so N = 8
+    stops at m = 2; every other system runs at every m.
+    """
+    rng = np.random.default_rng(12)
+    marginals = rng.random(5)
+    pairs = [(0, 1), (2, 5), (3, 6)]
+    triples = [(0, 1, 2), (1, 3, 4)]
+    return [
+        ("sparse boxes", 6, 6, lambda m: _box_system(rng, 6, m, False)),
+        ("sparse boxes", 7, 7, lambda m: _box_system(rng, 7, m, False)),
+        ("sparse boxes", 8, 2, lambda m: _box_system(rng, 8, m, False)),
+        ("overlapping boxes", 6, 6, lambda m: _box_system(rng, 6, m, True)),
+        ("zeros at order 2", 7, 7, lambda m: BooleanSystem(7, m, _atom_p(rng, 7, m, pairs))),
+        ("zeros at order 3", 6, 6, lambda m: BooleanSystem(6, m, _atom_p(rng, 6, m, triples))),
+        ("zero singleton", 6, 6, lambda m: BooleanSystem(6, m, _atom_p(rng, 6, m, [(2,)]))),
+        ("product", 5, 5, lambda m: BooleanSystem(5, m, {
+            frozenset(combo): float(np.prod(marginals[list(combo)]))
+            for k in range(1, m + 1)
+            for combo in combinations(range(5), k)
+        })),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, n, top, build", _corpus(), ids=[f"{label}-{n}" for label, n, *_ in _corpus()]
+)
+def test_boolean_lp_matches_the_all_atom_lp(label, n, top, build):
+    zeros_seen = False
+    for m in range(1, top + 1):
+        system = build(m)
+        has_zero = min(system.p.values()) <= 0.0
+        zeros_seen |= has_zero
+        targets = [("union", None)]
+        targets += [("atleast", r) for r in sorted({1, 2, n})]
+        targets += [("exactly", r) for r in sorted({0, 1, n})]
+        for target, r in targets:
+            got = boolean_lp_bounds(system, target, r)
+            want = all_atom_lp_bounds(system, target, r)
+            if has_zero:
+                assert got.lower == pytest.approx(want.lower, abs=1e-12)
+                assert got.upper == pytest.approx(want.upper, abs=1e-12)
+            else:
+                assert repr(got) == repr(want)
+    assert zeros_seen == (label not in ("overlapping boxes", "product"))
 
 
 # ---------------------------------------------------------------------------
