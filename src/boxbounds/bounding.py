@@ -42,10 +42,12 @@ _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 # Cells (rows times columns) of the Boolean atom LP's constraint matrix:
 # 1 + sum_{k<=m} C(N, k) rows over 2^N atoms, counted before zero p_I drop
 # any.  It admits N = 8 at every m, (10, 2) and (12, 1), and rejects
-# (9, 3), whose simplex ran past a minute to the pivot cap.  Overlapping
-# 2-d boxes have no zero p_I, so every atom stays: at N = 8 a bound pair
-# takes up to 6 s for m = 4..7 and 20 s for m = 8.  Random 2-d boxes at
-# (8, 3) and (10, 2) keep few atoms and take 5 ms.
+# (9, 3), where one of nine calls on overlapping boxes runs its simplex
+# to the pivot cap and the others take 1-5 s.  Overlapping 2-d boxes have
+# no zero p_I, so every atom stays: at N = 8 a bound pair takes up to
+# 1.4 s for m = 4, 0.25 s for m = 3 and 5, under 0.1 s from m = 6 on, and
+# 37 ms at m = 8, where the inclusion-exclusion start is optimal.  Random
+# 2-d boxes keep few atoms and take 5 ms at N = 8.
 _ATOM_CELL_BUDGET = 1 << 16
 # Cells (rows times columns) of the dense moment matrix a moment LP may
 # hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
@@ -264,7 +266,7 @@ def _pivot_until_optimal(
 class _Start:
     """A feasible basis from phase 1, over the rows it kept.
 
-    a and b are those rows with every row of negative right-hand side
+    a and b are those rows as given, each row of negative right-hand side
     sign-flipped.  Phase 1 never reads the objective, so one start serves
     the min and the max of any objective over the same rows.
     """
@@ -274,25 +276,51 @@ class _Start:
     b: np.ndarray
 
 
-def _phase1(a: np.ndarray, b: np.ndarray) -> _Start | None:
-    """A feasible basis of a x = b, x >= 0, or None when there is none."""
+def _phase1(
+    a: np.ndarray, b: np.ndarray, crash: np.ndarray | None = None
+) -> _Start | None:
+    """A feasible basis of a x = b, x >= 0, or None when there is none.
+
+    Without a crash basis every row starts on an artificial variable.  A
+    crash basis names one column per row, or -1 for none; with a unit
+    column for each row that names none it must form a nonsingular matrix
+    B.  Phase 1 then works on the rows of B^-1 a, where a row whose basic
+    value is >= 0 starts on its column and only the others get an
+    artificial.  The start it returns holds the rows as given, not B^-1 a.
+    """
     m, n = a.shape
     a = a.copy()
     b = b.copy()
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
+    rows, rhs = a, b
+    on_crash = np.zeros(m, dtype=bool)
+    if crash is not None:
+        named = crash >= 0
+        base = np.eye(m)
+        base[:, named] = a[:, crash[named]]
+        body = np.linalg.solve(base, np.column_stack([a, b]))
+        rows, rhs = body[:, :-1], body[:, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-7)] = 0.0
+        on_crash = named & (rhs >= 0.0)
+        flip = rhs < 0
+        rows[flip] *= -1.0
+        rhs[flip] *= -1.0
 
-    # Artificial basis, drive the artificial total to zero.
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, : n + m] = a1
-    tableau[:m, -1] = b
-    tableau[m, :n] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    _pivot_until_optimal(tableau, basis, a1, b, c1)
+    # Artificials on the rows off the crash basis, drive their total to zero.
+    art = np.flatnonzero(~on_crash)
+    a1 = np.hstack([rows, np.eye(m)[:, art]])
+    c1 = np.concatenate([np.zeros(n), np.ones(len(art))])
+    tableau = np.zeros((m + 1, n + len(art) + 1))
+    tableau[:m, :-1] = a1
+    tableau[:m, -1] = rhs
+    tableau[m, :n] = -rows[art].sum(axis=0)
+    tableau[m, -1] = -rhs[art].sum()
+    basis = [0] * m if crash is None else [int(j) for j in crash]
+    for k, i in enumerate(art):
+        basis[i] = n + k
+    _pivot_until_optimal(tableau, basis, a1, rhs, c1)
     if -tableau[m, -1] > PIVOT_TOL:
         return None
 
@@ -341,16 +369,17 @@ def _phase2(c: np.ndarray, start: _Start) -> LpResult:
     )
 
 
-def solve_lp(problem: LpProblem, start: _Start | None = None) -> LpResult:
+def solve_lp(problem: LpProblem, start: _Start | np.ndarray | None = None) -> LpResult:
     """Solve the LP; statuses 'infeasible' and 'unbounded' are returned, never
     silently swallowed.
 
     start is the _start of an optimal result on the same a_eq and b_eq; it
-    skips phase 1, which gives the same basis whatever the objective.
+    skips phase 1, which gives the same basis whatever the objective.  Any
+    other start is a crash basis for phase 1 (see _phase1).
     """
     c, a, b = problem.objective, problem.a_eq, problem.b_eq
-    if start is None:
-        start = _phase1(a, b)
+    if not isinstance(start, _Start):
+        start = _phase1(a, b, start)
         if start is None:
             return LpResult(status="infeasible")
     if problem.sense == "min":
@@ -374,16 +403,17 @@ def _solve_pair(
     b_eq: np.ndarray,
     method: str,
     capped: bool = True,
+    crash: np.ndarray | None = None,
 ) -> BoundPair:
     """Min and max of the mass on variables whose count lies in lo..hi.
 
     capped says the rows hold the total mass at most 1, so each optimum is
     a probability; it is clamped to [0, 1], which rounding in the simplex
-    can leave by an ULP.
+    can leave by an ULP.  crash is a crash basis for phase 1.
     """
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
-    start = None  # phase 1 runs once, in the min solve
+    start = crash  # phase 1 runs once, in the min solve
     for sense in ("min", "max"):
         result = solve_lp(LpProblem(objective, sense, a_eq, b_eq), start)
         if result.status != "optimal":
@@ -641,6 +671,11 @@ def boolean_lp_bounds(
     one.  Targets: 'union' (J nonempty), 'atleast' (|J| >= r), 'exactly'
     (|J| = r).  A supplied p_I <= 0 drops its row and every x_J with J
     containing I, which that row holds at 0.
+
+    Phase 1 starts from the atom of each row's own subset (the empty atom
+    for total mass).  That basis is unit triangular, and its basic solution
+    is the inclusion-exclusion sum of the supplied p_I: a Bonferroni bound,
+    >= 0 on every row where m - |I| is even, and at m = N the exact answer.
     """
     n = system.n_events
     check_atom_cap(n, system.m)
@@ -673,4 +708,10 @@ def boolean_lp_bounds(
     atoms = ~incidence[zero].any(axis=0)
     a_eq = np.vstack([np.ones(np.count_nonzero(atoms)), incidence[~zero][:, atoms]])
     b_eq = np.concatenate([[1.0], p[~zero]])
-    return _solve_pair(sizes[atoms], lo, hi, a_eq, b_eq, f"boolean(m={system.m})")
+    # The 1e-12 slack of BooleanSystem lets a kept row's own atom contain a
+    # zero row's subset; such a row names no column and gets an artificial.
+    own = np.concatenate([[0], masks[~zero, 0]])
+    crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
+    return _solve_pair(
+        sizes[atoms], lo, hi, a_eq, b_eq, f"boolean(m={system.m})", crash=crash
+    )

@@ -180,13 +180,19 @@ def lp_optimum_by_vertex_enumeration(objective, rows, rhs, sense):
     return best
 
 
-def two_call_simplex_min(c, a, b):
+def two_call_simplex_min(c, a, b, crash=None):
     """min c . x over a x = b, x >= 0 by a full two-phase simplex of its own.
 
     The solver as it was when each solve ran its own phase 1; the shared
     phase 1 is held to it bit for bit.  It drives the package's pivoting,
-    rebuild and optimality loop.
+    rebuild and optimality loop.  A crash basis runs the package's phase 1
+    from it instead, again in every call.
     """
+    if crash is not None:
+        start = bounding._phase1(a, b, crash)
+        if start is None:
+            return LpResult(status="infeasible")
+        return _phase2_of(c, list(start.basis), start.a, start.b)
     m, n = a.shape
     a = a.copy()
     b = b.copy()
@@ -223,11 +229,11 @@ def two_call_simplex_min(c, a, b):
             bounding._pivot(tableau, basis, i, col)
             in_basis.add(col)
     keep = [i for i in range(m) if i not in drop]
-    basis = [basis[i] for i in keep]
-    rows = len(keep)
+    return _phase2_of(c, [basis[i] for i in keep], a[keep], b[keep])
 
-    a2 = a[keep]
-    b2 = b[keep]
+
+def _phase2_of(c, basis, a2, b2):
+    rows, n = a2.shape
     phase2 = np.zeros((rows + 1, n + 1))
     bounding._rebuild(phase2, basis, a2, b2, c)
     status = bounding._pivot_until_optimal(phase2, basis, a2, b2, c)
@@ -246,12 +252,12 @@ def two_call_simplex_min(c, a, b):
     )
 
 
-def two_call_solve_lp(problem):
+def two_call_solve_lp(problem, crash=None):
     """solve_lp with a phase 1 in every call, the min and the max alike."""
     c, a, b = problem.objective, problem.a_eq, problem.b_eq
     if problem.sense == "min":
-        return two_call_simplex_min(c, a, b)
-    result = two_call_simplex_min(-c, a, b)
+        return two_call_simplex_min(c, a, b, crash)
+    result = two_call_simplex_min(-c, a, b, crash)
     if result.status != "optimal":
         return result
     return LpResult(status="optimal", value=0.0 - result.value, solution=result.solution)
@@ -262,7 +268,8 @@ def all_atom_lp_bounds(system, target, r=None):
 
     The assembly as it was before zero rows and the atoms they cover were
     dropped: the total-mass row, then one row per supplied subset by size
-    and lexicographically, over atoms in ascending bitmask order.
+    and lexicographically, over atoms in ascending bitmask order.  Phase 1
+    starts from each row's own atom, as in boolean_lp_bounds.
     """
     n = system.n_events
     lo, hi = {"union": (1, n), "atleast": (r, n), "exactly": (r, r)}[target]
@@ -272,4 +279,6 @@ def all_atom_lp_bounds(system, target, r=None):
     a_eq = np.vstack([np.ones(1 << n), incidence])
     b_eq = np.array([1.0, *(system.p[frozenset(subset)] for subset in subsets)])
     sizes = incidence[:n].sum(axis=0)
-    return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, f"boolean(m={system.m})")
+    own = np.concatenate([[0], masks[:, 0]])
+    label = f"boolean(m={system.m})"
+    return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, label, crash=own)

@@ -25,7 +25,7 @@ from boxbounds.bounding import (
     solve_lp,
     union_bounds,
 )
-from boxbounds.bounding import _moment_rows
+from boxbounds.bounding import _moment_rows, _Start
 from boxbounds.errors import InfeasibleBoundsError, InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import ProductMeasure
@@ -748,11 +748,14 @@ def test_bound_pairs_match_the_two_call_simplex(data):
     bound = _bound_call(data, rng)
     solve = bounding.solve_lp
     started = []
+    crash = []  # the Boolean min's crash basis, which the reference reuses
 
     def checked(problem, start=None):
+        if not isinstance(start, _Start):
+            crash.append(start)
         got = solve(problem, start)
-        assert _bits(got) == _bits(two_call_solve_lp(problem))
-        started.append(start is not None)
+        assert _bits(got) == _bits(two_call_solve_lp(problem, crash[0]))
+        started.append(isinstance(start, _Start))
         return got
 
     with mock.patch.object(bounding, "solve_lp", checked):
@@ -768,9 +771,9 @@ def test_a_bound_pair_runs_phase_1_once(monkeypatch):
     phase1 = bounding._phase1
     calls = []
 
-    def counted(a, b):
+    def counted(a, b, crash=None):
         calls.append(a.shape)
-        return phase1(a, b)
+        return phase1(a, b, crash)
 
     monkeypatch.setattr(bounding, "_phase1", counted)
     moments = moments_from_distribution((0.2, 0.3, 0.4, 0.1), 2)
@@ -816,8 +819,8 @@ def test_zero_rows_and_the_atoms_they_cover_are_dropped(recorded_lps):
     )
 
 
-def _box_system(rng, n, m, overlapping):
-    """p_I of n random 2-d boxes, uniform on [0, 100]^2.
+def _boxes(rng, n, overlapping):
+    """n random 2-d boxes and the uniform measure on [0, 100]^2.
 
     Overlapping boxes (lower corners in [0, 10]^2, sides 60-90) have no
     zero p_I; sparse ones (corners in [0, 70]^2, sides 10-50) have many.
@@ -829,8 +832,11 @@ def _box_system(rng, n, m, overlapping):
         else:
             lower, side = rng.uniform(0, 70, 2), rng.uniform(10, 50, 2)
         boxes.append(Box(f"A{i + 1}", tuple(lower), tuple(lower + side)))
-    measure = ProductMeasure.uniform((0.0, 0.0), (100.0, 100.0))
-    return boolean_system_from_boxes(boxes, measure, m)
+    return boxes, ProductMeasure.uniform((0.0, 0.0), (100.0, 100.0))
+
+
+def _box_system(rng, n, m, overlapping):
+    return boolean_system_from_boxes(*_boxes(rng, n, overlapping), m)
 
 
 def _corpus():
@@ -880,6 +886,111 @@ def test_boolean_lp_matches_the_all_atom_lp(label, n, top, build):
             else:
                 assert repr(got) == repr(want)
     assert zeros_seen == (label not in ("overlapping boxes", "product"))
+
+
+# ---------------------------------------------------------------------------
+# phase 1 from the inclusion-exclusion basis
+
+
+def _box_cases(n, overlapping):
+    """(system, target, r, truth) at every m for n random 2-d boxes."""
+    boxes, measure = _boxes(np.random.default_rng(10 * n + overlapping), n, overlapping)
+    dist = exact_count_distribution(boxes, measure)
+    for m in range(1, n + 1):
+        system = boolean_system_from_boxes(boxes, measure, m)
+        yield system, "union", None, dist.union()
+        yield system, "atleast", 2, dist.at_least(2)
+        yield system, "exactly", 1, dist.exactly(1)
+
+
+BOX_SHAPES = [(n, overlapping) for n in (5, 6, 7) for overlapping in (True, False)]
+BOX_IDS = [f"{'overlapping' if o else 'sparse'}-{n}" for n, o in BOX_SHAPES]
+
+
+@pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
+def test_crash_start_agrees_with_the_artificial_start(n, overlapping):
+    phase1 = bounding._phase1
+
+    def artificial(a, b, crash=None):
+        return phase1(a, b)
+
+    for system, target, r, truth in _box_cases(n, overlapping):
+        got = boolean_lp_bounds(system, target, r)
+        with mock.patch.object(bounding, "_phase1", artificial):
+            want = boolean_lp_bounds(system, target, r)
+        assert got.lower == pytest.approx(want.lower, abs=1e-12)
+        assert got.upper == pytest.approx(want.upper, abs=1e-12)
+        assert got.lower - 1e-12 <= truth <= got.upper + 1e-12
+
+
+@pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
+def test_boolean_lps_match_highs(n, overlapping):
+    optimize = pytest.importorskip("scipy.optimize")
+    solve = bounding.solve_lp
+    solved = []
+
+    def against_highs(problem, start=None):
+        got = solve(problem, start)
+        sign = 1.0 if problem.sense == "min" else -1.0
+        want = optimize.linprog(
+            sign * problem.objective,
+            A_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert want.status == 0
+        assert got.value == pytest.approx(sign * want.fun, abs=1e-9)
+        solved.append(problem.sense)
+        return got
+
+    with mock.patch.object(bounding, "solve_lp", against_highs):
+        for system, target, r, _ in _box_cases(n, overlapping):
+            boolean_lp_bounds(system, target, r)
+    assert len(solved) == 6 * n
+
+
+@pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
+def test_a_full_information_boolean_pair_makes_no_pivot(n, overlapping, monkeypatch):
+    pivot = bounding._pivot
+    pivots = []
+
+    def counted(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(bounding, "_pivot", counted)
+    for system, target, r, truth in _box_cases(n, overlapping):
+        if system.m == n:
+            pair = boolean_lp_bounds(system, target, r)
+            assert pair.lower == pytest.approx(truth, abs=1e-12)
+            assert pair.upper == pytest.approx(truth, abs=1e-12)
+    assert pivots == []
+
+
+def test_a_kept_row_whose_own_atom_was_dropped_takes_an_artificial():
+    # The 1e-12 monotonicity slack admits p_01 > 0 = p_1.  The zero row of
+    # {1} drops atom {0, 1}, the own atom of the kept row {0, 1}.
+    system = BooleanSystem(
+        2, 2, {frozenset({0}): 0.7, frozenset({1}): 0.0, frozenset({0, 1}): 1e-13}
+    )
+    phase1 = bounding._phase1
+    crashes = []
+
+    def recorded(a, b, crash=None):
+        crashes.append(list(crash))
+        return phase1(a, b, crash)
+
+    with mock.patch.object(bounding, "_phase1", recorded):
+        pairs = [
+            boolean_lp_bounds(system, "union"),
+            boolean_lp_bounds(system, "atleast", 1),
+            boolean_lp_bounds(system, "exactly", 0),
+        ]
+    # columns: atoms {} and {0}; rows: total mass, {0}, {0, 1}
+    assert crashes == [[0, 1, -1]] * 3
+    assert [(pair.lower, pair.upper) for pair in pairs[:2]] == [(0.7, 0.7)] * 2
+    assert pairs[2].lower == pairs[2].upper == pytest.approx(0.3, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

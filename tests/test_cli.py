@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -608,3 +610,26 @@ def test_cells_budget_exits_before_the_grid_is_built(capsys, tmp_path):
         "error: 64048012001 grid cells times 2000 boxes exceed the budget of "
         "100000000 cell-in-box tests\n"
     )
+
+
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    # 150 boxes give 11,175 pair rows, far more than a pipe buffer holds.
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [200]},
+        "boxes": [{"id": f"A{i}", "lower": [i], "upper": [i + 1.5]} for i in range(150)],
+    }
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxbounds", "screen", str(path), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # what `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
