@@ -36,6 +36,7 @@ from .measure import ProductMeasure
 from .screening import MomentVector, enumerate_tuples
 
 PIVOT_TOL = 1e-9
+ORDER_TOL = 1e-9  # how far a BoundPair's lower bound may exceed its upper
 _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 64  # degenerate pivots tolerated before Bland's rule takes over
 _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
@@ -119,7 +120,7 @@ class BoundPair:
     method: str
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper + 1e-9:
+        if self.lower > self.upper + ORDER_TOL:
             raise ArithmeticError(
                 f"bounds out of order: {self.lower} > {self.upper} ({self.method})"
             )
@@ -286,7 +287,9 @@ def _phase1(
     column for each row that names none it must form a nonsingular matrix
     B.  Phase 1 then works on the rows of B^-1 a, where a row whose basic
     value is >= 0 starts on its column and only the others get an
-    artificial.  The start it returns holds the rows as given, not B^-1 a.
+    artificial.  A basic value is B^-1 b, a sum of up to m terms, and only
+    a negative value within the rounding bound of that sum counts as 0.
+    The start it returns holds the rows as given, not B^-1 a.
     """
     m, n = a.shape
     a = a.copy()
@@ -300,9 +303,11 @@ def _phase1(
         named = crash >= 0
         base = np.eye(m)
         base[:, named] = a[:, crash[named]]
-        body = np.linalg.solve(base, np.column_stack([a, b]))
-        rows, rhs = body[:, :-1], body[:, -1]
-        rhs[(rhs < 0.0) & (rhs > -1e-7)] = 0.0
+        body = np.linalg.solve(base, np.column_stack([a, b, np.eye(m)]))
+        rows, rhs, inverse = body[:, :n], body[:, n], body[:, n + 1 :]
+        # b >= 0 here, so |B^-1| b bounds the terms of each basic value.
+        rounding = m * np.finfo(float).eps * (np.abs(inverse) @ b)
+        rhs[(rhs < 0.0) & (rhs >= -rounding)] = 0.0
         on_crash = named & (rhs >= 0.0)
         flip = rhs < 0
         rows[flip] *= -1.0
@@ -369,17 +374,22 @@ def _phase2(c: np.ndarray, start: _Start) -> LpResult:
     )
 
 
-def solve_lp(problem: LpProblem, start: _Start | np.ndarray | None = None) -> LpResult:
+def solve_lp(
+    problem: LpProblem,
+    start: _Start | None = None,
+    *,
+    crash: np.ndarray | None = None,
+) -> LpResult:
     """Solve the LP; statuses 'infeasible' and 'unbounded' are returned, never
     silently swallowed.
 
     start is the _start of an optimal result on the same a_eq and b_eq; it
-    skips phase 1, which gives the same basis whatever the objective.  Any
-    other start is a crash basis for phase 1 (see _phase1).
+    skips phase 1, which gives the same basis whatever the objective.
+    Without it, phase 1 runs from the crash basis crash (see _phase1).
     """
     c, a, b = problem.objective, problem.a_eq, problem.b_eq
-    if not isinstance(start, _Start):
-        start = _phase1(a, b, start)
+    if start is None:
+        start = _phase1(a, b, crash)
         if start is None:
             return LpResult(status="infeasible")
     if problem.sense == "min":
@@ -404,18 +414,24 @@ def _solve_pair(
     method: str,
     capped: bool = True,
     crash: np.ndarray | None = None,
+    ordered: bool = False,
 ) -> BoundPair:
     """Min and max of the mass on variables whose count lies in lo..hi.
 
     capped says the rows hold the total mass at most 1, so each optimum is
     a probability; it is clamped to [0, 1], which rounding in the simplex
-    can leave by an ULP.  crash is a crash basis for phase 1.
+    can leave by an ULP.  crash is a crash basis for phase 1.  Where the
+    target is pinned, the min and the max can end in different bases and
+    cross by ULPs; ordered gives both ends of a crossing within ORDER_TOL
+    their mean.  The moment LPs leave it off, so their output stays as it
+    was until their bounds are certified.
     """
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
-    start = crash  # phase 1 runs once, in the min solve
+    start = None  # phase 1 runs once, in the min solve
     for sense in ("min", "max"):
-        result = solve_lp(LpProblem(objective, sense, a_eq, b_eq), start)
+        problem = LpProblem(objective, sense, a_eq, b_eq)
+        result = solve_lp(problem, start, crash=crash)
         if result.status != "optimal":
             raise InfeasibleBoundsError(
                 f"{method}: no distribution matches the supplied data ({result.status})",
@@ -423,7 +439,10 @@ def _solve_pair(
             )
         values.append(min(max(result.value, 0.0), 1.0) if capped else result.value)
         start = result._start
-    return BoundPair(*values, method)
+    lower, upper = values
+    if ordered and upper < lower <= upper + ORDER_TOL:
+        lower = upper = (lower + upper) / 2
+    return BoundPair(lower, upper, method)
 
 
 def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = None):
@@ -713,5 +732,12 @@ def boolean_lp_bounds(
     own = np.concatenate([[0], masks[~zero, 0]])
     crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
     return _solve_pair(
-        sizes[atoms], lo, hi, a_eq, b_eq, f"boolean(m={system.m})", crash=crash
+        sizes[atoms],
+        lo,
+        hi,
+        a_eq,
+        b_eq,
+        f"boolean(m={system.m})",
+        crash=crash,
+        ordered=True,
     )

@@ -281,4 +281,6 @@ def all_atom_lp_bounds(system, target, r=None):
     sizes = incidence[:n].sum(axis=0)
     own = np.concatenate([[0], masks[:, 0]])
     label = f"boolean(m={system.m})"
-    return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, label, crash=own)
+    return bounding._solve_pair(
+        sizes, lo, hi, a_eq, b_eq, label, crash=own, ordered=True
+    )

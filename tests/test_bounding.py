@@ -25,7 +25,7 @@ from boxbounds.bounding import (
     solve_lp,
     union_bounds,
 )
-from boxbounds.bounding import _moment_rows, _Start
+from boxbounds.bounding import _moment_rows
 from boxbounds.errors import InfeasibleBoundsError, InputError
 from boxbounds.geometry import Box
 from boxbounds.measure import ProductMeasure
@@ -595,7 +595,7 @@ def recorded_lps(monkeypatch):
     """The LpProblems handed to solve_lp, each answered with value 0."""
     problems = []
 
-    def record(problem, start=None):
+    def record(problem, start=None, *, crash=None):
         problems.append(problem)
         return LpResult(status="optimal", value=0.0)
 
@@ -748,14 +748,11 @@ def test_bound_pairs_match_the_two_call_simplex(data):
     bound = _bound_call(data, rng)
     solve = bounding.solve_lp
     started = []
-    crash = []  # the Boolean min's crash basis, which the reference reuses
 
-    def checked(problem, start=None):
-        if not isinstance(start, _Start):
-            crash.append(start)
-        got = solve(problem, start)
-        assert _bits(got) == _bits(two_call_solve_lp(problem, crash[0]))
-        started.append(isinstance(start, _Start))
+    def checked(problem, start=None, *, crash=None):
+        got = solve(problem, start, crash=crash)
+        assert _bits(got) == _bits(two_call_solve_lp(problem, crash))
+        started.append(start is not None)
         return got
 
     with mock.patch.object(bounding, "solve_lp", checked):
@@ -819,11 +816,12 @@ def test_zero_rows_and_the_atoms_they_cover_are_dropped(recorded_lps):
     )
 
 
-def _boxes(rng, n, overlapping):
-    """n random 2-d boxes and the uniform measure on [0, 100]^2.
+def _boxes(rng, n, overlapping, extent=100.0):
+    """n random 2-d boxes and the uniform measure on [0, extent]^2.
 
     Overlapping boxes (lower corners in [0, 10]^2, sides 60-90) have no
     zero p_I; sparse ones (corners in [0, 70]^2, sides 10-50) have many.
+    A larger extent scales every p_I by (100 / extent)^2.
     """
     boxes = []
     for i in range(n):
@@ -832,7 +830,7 @@ def _boxes(rng, n, overlapping):
         else:
             lower, side = rng.uniform(0, 70, 2), rng.uniform(10, 50, 2)
         boxes.append(Box(f"A{i + 1}", tuple(lower), tuple(lower + side)))
-    return boxes, ProductMeasure.uniform((0.0, 0.0), (100.0, 100.0))
+    return boxes, ProductMeasure.uniform((0.0, 0.0), (extent, extent))
 
 
 def _box_system(rng, n, m, overlapping):
@@ -892,9 +890,10 @@ def test_boolean_lp_matches_the_all_atom_lp(label, n, top, build):
 # phase 1 from the inclusion-exclusion basis
 
 
-def _box_cases(n, overlapping):
+def _box_cases(n, overlapping, extent=100.0):
     """(system, target, r, truth) at every m for n random 2-d boxes."""
-    boxes, measure = _boxes(np.random.default_rng(10 * n + overlapping), n, overlapping)
+    rng = np.random.default_rng(10 * n + overlapping)
+    boxes, measure = _boxes(rng, n, overlapping, extent)
     dist = exact_count_distribution(boxes, measure)
     for m in range(1, n + 1):
         system = boolean_system_from_boxes(boxes, measure, m)
@@ -905,22 +904,49 @@ def _box_cases(n, overlapping):
 
 BOX_SHAPES = [(n, overlapping) for n in (5, 6, 7) for overlapping in (True, False)]
 BOX_IDS = [f"{'overlapping' if o else 'sparse'}-{n}" for n, o in BOX_SHAPES]
+# p_I of order 1e-2..1, and the same boxes with p_I of order 1e-10..1e-8,
+# where a Bonferroni row's real negative value lies well inside (-1e-7, 0).
+EXTENTS = pytest.mark.parametrize("extent", [100.0, 1e6], ids=["p-1", "p-1e-8"])
 
 
+_PHASE1 = bounding._phase1
+
+
+def _artificial_start(a, b, crash=None):
+    """The phase 1 of a plain LP: every row on an artificial variable."""
+    return _PHASE1(a, b)
+
+
+@EXTENTS
 @pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
-def test_crash_start_agrees_with_the_artificial_start(n, overlapping):
-    phase1 = bounding._phase1
-
-    def artificial(a, b, crash=None):
-        return phase1(a, b)
-
-    for system, target, r, truth in _box_cases(n, overlapping):
+def test_crash_start_agrees_with_the_artificial_start(n, overlapping, extent):
+    tol = 1e-12 * (100.0 / extent) ** 2
+    for system, target, r, truth in _box_cases(n, overlapping, extent):
         got = boolean_lp_bounds(system, target, r)
-        with mock.patch.object(bounding, "_phase1", artificial):
+        with mock.patch.object(bounding, "_phase1", _artificial_start):
             want = boolean_lp_bounds(system, target, r)
-        assert got.lower == pytest.approx(want.lower, abs=1e-12)
-        assert got.upper == pytest.approx(want.upper, abs=1e-12)
-        assert got.lower - 1e-12 <= truth <= got.upper + 1e-12
+        assert got.lower == pytest.approx(want.lower, abs=tol)
+        assert got.upper == pytest.approx(want.upper, abs=tol)
+        assert got.lower - tol <= truth <= got.upper + tol
+
+
+def test_a_negative_bonferroni_row_near_zero_takes_an_artificial():
+    # p_i = 1e-8 and p_ij = 0.8e-8 on three events (p_123 = 0.7e-8 fits).
+    # The start gives x_i = p_i - p_ij - p_ik = -0.6e-8 on each singleton
+    # atom; started there anyway, the min of the union is 2.4e-8, above its
+    # max.  The LP's bounds are 1.2e-8 and 1.4e-8 around the union 1.3e-8.
+    p = {frozenset({i}): 1e-8 for i in range(3)}
+    p.update({frozenset(pair): 0.8e-8 for pair in combinations(range(3), 2)})
+    system = BooleanSystem(3, 2, p)
+    union = boolean_lp_bounds(system, "union")
+    assert union.lower == pytest.approx(1.2e-8, rel=1e-12)
+    assert union.upper == pytest.approx(1.4e-8, rel=1e-12)
+    for target, r in (("union", None), ("atleast", 2), ("exactly", 1)):
+        got = boolean_lp_bounds(system, target, r)
+        with mock.patch.object(bounding, "_phase1", _artificial_start):
+            want = boolean_lp_bounds(system, target, r)
+        assert got.lower == pytest.approx(want.lower, rel=1e-12, abs=1e-22)
+        assert got.upper == pytest.approx(want.upper, rel=1e-12, abs=1e-22)
 
 
 @pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
@@ -929,8 +955,8 @@ def test_boolean_lps_match_highs(n, overlapping):
     solve = bounding.solve_lp
     solved = []
 
-    def against_highs(problem, start=None):
-        got = solve(problem, start)
+    def against_highs(problem, start=None, *, crash=None):
+        got = solve(problem, start, crash=crash)
         sign = 1.0 if problem.sense == "min" else -1.0
         want = optimize.linprog(
             sign * problem.objective,
@@ -950,8 +976,12 @@ def test_boolean_lps_match_highs(n, overlapping):
     assert len(solved) == 6 * n
 
 
+@EXTENTS
 @pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
-def test_a_full_information_boolean_pair_makes_no_pivot(n, overlapping, monkeypatch):
+def test_a_full_information_boolean_pair_makes_no_pivot(
+    n, overlapping, extent, monkeypatch
+):
+    tol = 1e-12 * (100.0 / extent) ** 2
     pivot = bounding._pivot
     pivots = []
 
@@ -960,11 +990,11 @@ def test_a_full_information_boolean_pair_makes_no_pivot(n, overlapping, monkeypa
         pivot(tableau, basis, row, col)
 
     monkeypatch.setattr(bounding, "_pivot", counted)
-    for system, target, r, truth in _box_cases(n, overlapping):
+    for system, target, r, truth in _box_cases(n, overlapping, extent):
         if system.m == n:
             pair = boolean_lp_bounds(system, target, r)
-            assert pair.lower == pytest.approx(truth, abs=1e-12)
-            assert pair.upper == pytest.approx(truth, abs=1e-12)
+            assert pair.lower == pytest.approx(truth, abs=tol)
+            assert pair.upper == pytest.approx(truth, abs=tol)
     assert pivots == []
 
 
