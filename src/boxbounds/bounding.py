@@ -414,7 +414,6 @@ def _solve_pair(
     method: str,
     capped: bool = True,
     crash: np.ndarray | None = None,
-    ordered: bool = False,
 ) -> BoundPair:
     """Min and max of the mass on variables whose count lies in lo..hi.
 
@@ -422,9 +421,7 @@ def _solve_pair(
     a probability; it is clamped to [0, 1], which rounding in the simplex
     can leave by an ULP.  crash is a crash basis for phase 1.  Where the
     target is pinned, the min and the max can end in different bases and
-    cross by ULPs; ordered gives both ends of a crossing within ORDER_TOL
-    their mean.  The moment LPs leave it off, so their output stays as it
-    was until their bounds are certified.
+    cross by ULPs; both ends of a crossing within ORDER_TOL get their mean.
     """
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
@@ -440,7 +437,7 @@ def _solve_pair(
         values.append(min(max(result.value, 0.0), 1.0) if capped else result.value)
         start = result._start
     lower, upper = values
-    if ordered and upper < lower <= upper + ORDER_TOL:
+    if upper < lower <= upper + ORDER_TOL:
         lower = upper = (lower + upper) / 2
     return BoundPair(lower, upper, method)
 
@@ -739,5 +736,4 @@ def boolean_lp_bounds(
         b_eq,
         f"boolean(m={system.m})",
         crash=crash,
-        ordered=True,
     )

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
 
@@ -214,20 +214,6 @@ def _json_texts(values: np.ndarray) -> np.ndarray:
     return texts
 
 
-def _columns(texts: np.ndarray, sep: str) -> list:
-    """The columns of a 2-D object array of strings, with sep between each two.
-
-    Zipped with other columns and joined, they give each row's strings
-    joined by sep, without a Python-level step per row.
-    """
-    columns = []
-    for c, column in enumerate(texts.T.tolist()):
-        if c:
-            columns.append(repeat(sep))
-        columns.append(column)
-    return columns
-
-
 def _order_name(k: int) -> str:
     return {2: "pairs", 3: "triples"}.get(k, f"{k}-tuples")
 
@@ -271,42 +257,111 @@ def _kv_table(fields) -> str:
     return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows)
 
 
-def _screen_sections(boxes, ledger, max_order, texts):
-    """(order, members, lower, upper, nonempty) per listed order.
+# Rows per streamed block of screen output, about 270 KB of JSON at d = 2.
+_SCREEN_BLOCK_ROWS = 1024
 
-    members is the ``(F, k)`` index array of the rows; lower and upper are
-    ``(F, d)`` object arrays of each row's coordinates rendered by
-    ``texts``.  Every pair is listed, and its verdict is whether the
-    ledger's order 2 holds it: a pair that passes the test has both boxes
-    among the walk's roots, since its meet lies inside each.  Pair
-    coordinates are rendered once per box and gathered by the strict
-    comparison pair_verdicts makes, so each keeps the sign of zero of the
-    box that supplied it.
+# Rows screen may list: the C(N, 2) pairs, when listed, plus the listed
+# tuples of orders 3 and up.  Written to /dev/null, the 1,999,000 pair rows
+# of 2,000 boxes in 2-d take at most 1.5 s as JSON (622 MB) and 1.7 s as a
+# table on a 2-core Intel Xeon, over a million rows a second, so the budget
+# stands for under 10 s of output, or 3 GB of JSON.
+SCREEN_ROW_BUDGET = 10_000_000
+
+
+def _check_screen_rows(rows: int) -> None:
+    if rows > SCREEN_ROW_BUDGET:
+        raise InputError(f"{rows} screen rows exceed the budget of {SCREEN_ROW_BUDGET}")
+
+
+def _order_blocks(n, ledger, k):
+    """(members, nonempty) per block of order k's listed rows, in output order.
+
+    members holds k index arrays of length B, array c holding the c-th
+    member of each of the block's B rows, B at most _SCREEN_BLOCK_ROWS.
+    Every pair is listed, and its verdict is whether the ledger's order 2
+    holds it: a pair that passes the test has both boxes among the walk's
+    roots, since its meet lies inside each.  A pair block is worked out
+    from its positions in lexicographic order, so no array of all pairs is
+    built.  Every listed tuple of a higher order is nonempty.
     """
-    sections = []
-    n = len(boxes)
-    if n >= 2 and max_order >= 2:
-        lowers = np.array([box.lower for box in boxes])
-        uppers = np.array([box.upper for box in boxes])
-        lower_texts, upper_texts = texts(lowers), texts(uppers)
-        first, second = np.triu_indices(n, 1)
-        lower = np.where(lowers[second] > lowers[first], lower_texts[second], lower_texts[first])
-        upper = np.where(uppers[second] < uppers[first], upper_texts[second], upper_texts[first])
-        nonempty = np.zeros((n, n), dtype=bool)
-        if 2 in ledger.levels:
-            nonempty[tuple(ledger.levels[2].indices.T)] = True
-        members = np.column_stack((first, second))
-        sections.append((2, members, lower, upper, nonempty[first, second].tolist()))
-    for k in sorted(ledger.levels):
-        if 3 <= k <= max_order:
-            level = ledger.levels[k]
-            lower, upper = texts(level.lower), texts(level.upper)
-            sections.append((k, level.indices, lower, upper, [True] * len(lower)))
-    return sections
+    step = _SCREEN_BLOCK_ROWS
+    if k > 2:
+        indices = ledger.levels[k].indices
+        for start in range(0, len(indices), step):
+            members = indices[start : start + step].T
+            yield members, np.ones(members.shape[1], dtype=bool)
+        return
+    sizes = np.arange(n - 1, 0, -1)
+    offsets = np.cumsum(sizes) - sizes  # the position of pair (i, i + 1)
+    edges = ledger.levels[2].indices if 2 in ledger.levels else np.empty((0, 2), np.intp)
+    edges = offsets[edges[:, 0]] + edges[:, 1] - edges[:, 0] - 1  # ascending
+    total = n * (n - 1) // 2
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        position = np.arange(start, stop)
+        first = np.searchsorted(offsets, position, side="right") - 1
+        nonempty = np.zeros(stop - start, dtype=bool)
+        nonempty[edges[slice(*np.searchsorted(edges, (start, stop)))] - start] = True
+        yield (first, position - offsets[first] + first + 1), nonempty
+
+
+def _meet_source(members, values, later_wins):
+    """Per row, the member box whose coordinate on one axis the meet takes.
+
+    values holds each box's coordinate on that axis.  A later member takes
+    over only where later_wins (np.greater for lower vertices, np.less for
+    upper ones) holds strictly, the comparison the walk's meet makes, so
+    each coordinate keeps the sign of zero of the box that supplies it.
+    """
+    source = members[0]
+    for later in members[1:]:
+        source = np.where(later_wins(values[later], values[source]), later, source)
+    return source
+
+
+def _row_pieces(members, lowers, uppers, layout) -> list:
+    """One block's rows as fragment pool indices, one array per row piece.
+
+    The pool holds runs of N per-box fragments: one run per axis of the
+    lower vertices, one per axis of the upper ones (lowers and uppers are
+    the vertices, ``(d, N)``), then one per kind of member fragment.
+    layout gives, per group of member pieces, the kinds of the first, the
+    middle and the last member's fragments.  A coordinate piece is the
+    fragment of the box the meet takes it from.
+    """
+    d, n = lowers.shape
+    pieces = []
+    for first, middle, last in layout:
+        kinds = (first, *[middle] * (len(members) - 2), last)
+        pieces += [(2 * d + kind) * n + member for kind, member in zip(kinds, members)]
+    for run, values in enumerate((*lowers, *uppers)):
+        pieces.append(run * n + _meet_source(members, values, np.greater if run < d else np.less))
+    return pieces
+
+
+def _fragment_pool(boxes, texts, item, closes, kinds):
+    """The vertices as ``(d, N)`` arrays, and the fragment pool as a list.
+
+    Each coordinate's text carries item after it, or, on the last axis,
+    its vertex's entry of closes.  kinds lists the runs of per-box member
+    fragments.
+    """
+    lowers = np.array([box.lower for box in boxes]).T
+    uppers = np.array([box.upper for box in boxes]).T
+    pool = []
+    for values, close in zip((lowers, uppers), closes):
+        for a, column in enumerate(texts(values).tolist()):
+            suffix = close if a == len(values) - 1 else item
+            pool += [text + suffix for text in column]
+    for kind in kinds:
+        pool += kind
+    return lowers, uppers, pool
 
 
 # The constant text around the fields of one row of the screen document,
-# and the separator of list items, as json.dumps(doc, indent=2) writes them.
+# and the separators of rows and of list items, as json.dumps(doc, indent=2)
+# writes them.
+_JSON_ROW_SEP = ",\n      "
 _JSON_ITEM = ",\n          "
 _JSON_ROW = (
     '{\n        "label": "',
@@ -318,57 +373,88 @@ _JSON_ROW = (
 )
 
 
-def _screen_json(mode, ids, sections, terms_used, terms_full) -> str:
-    """The versioned screen document, equal to json.dumps(doc, indent=2)."""
-    encoded = np.array([encode_basestring_ascii(i) for i in ids], dtype=object)
-    inner = np.array([text[1:-1] for text in encoded], dtype=object)
-    head, *rest = _JSON_ROW
-    blocks = []
-    for k, members, lower, upper, nonempty in sections:
-        row_columns = (
-            chain([head], repeat(",\n      " + head)),
-            *_columns(inner[members], ""),
-            repeat(rest[0]),
-            *_columns(encoded[members], _JSON_ITEM),
-            repeat(rest[1]),
-            *_columns(lower, _JSON_ITEM),
-            repeat(rest[2]),
-            *_columns(upper, _JSON_ITEM),
-            repeat(rest[3]),
-            map(("false", "true").__getitem__, nonempty),
-            repeat(rest[4]),
-        )
-        rows = "".join(chain.from_iterable(zip(*row_columns)))
-        blocks.append(f'    "{k}": [\n      {rows}\n    ]')
-    orders = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
-    return (
+def _screen_json(mode, boxes, ledger, orders, terms_used, terms_full):
+    """The versioned screen document in chunks, one per block of rows.
+
+    Joined, the chunks equal json.dumps(doc, indent=2).  A row is one join
+    of fragments that carry the constant text after them: the members'
+    label and id fragments, the coordinate fragments the meet takes and
+    the verdict.
+    """
+    yield (
         f'{{\n  "version": {JSON_VERSION},\n  "command": "screen",\n'
-        f'  "mode": {encode_basestring_ascii(mode.value)},\n  "n_events": {len(ids)},\n'
-        f'  "orders": {orders},\n  "terms_used": {terms_used},\n'
-        f'  "terms_full": {_digits(terms_full)}\n}}'
+        f'  "mode": {encode_basestring_ascii(mode.value)},\n  "n_events": {len(boxes)},\n'
+        '  "orders": '
     )
-
-
-def _screen_table(ids, sections, terms_used, terms_full) -> str:
-    """The verdict tables, one per listed order, and the retained-term count."""
-    lines = []
-    for k, members, lower, upper, nonempty in sections:
-        cell_columns = (
-            *_columns(ids[members], ""),
-            repeat(" = [("),
-            *_columns(lower, ", "),
-            repeat("), ("),
-            *_columns(upper, ", "),
-            repeat(")]"),
+    if orders:
+        head, after_label, after_ids, after_lower, after_upper, after_verdict = _JSON_ROW
+        encoded = [encode_basestring_ascii(box.id) for box in boxes]
+        labels = [text[1:-1] for text in encoded]
+        kinds = (
+            [_JSON_ROW_SEP + head + label for label in labels],
+            labels,
+            [label + after_label for label in labels],
+            [text + _JSON_ITEM for text in encoded],
+            [text + after_ids for text in encoded],
         )
-        cells = list(map("".join, zip(*cell_columns)))
-        width = max(map(len, cells))
-        lines.append(f"{_order_name(k).ljust(width)}  nonempty?")
-        verdicts = map(("no good", "yes").__getitem__, nonempty)
-        lines.extend(map("{}  {}".format, map(str.ljust, cells, repeat(width)), verdicts))
-        lines.append("")
-    lines.append(f"retained {terms_used} of {_digits(terms_full)} inclusion-exclusion terms")
-    return "\n".join(lines)
+        lowers, uppers, pool = _fragment_pool(
+            boxes, _json_texts, _JSON_ITEM, (after_lower, after_upper), kinds
+        )
+        verdicts = len(pool)
+        pool = np.array(pool + ["false" + after_verdict, "true" + after_verdict], dtype=object)
+        layout = ((0, 1, 2), (3, 3, 4))
+        for k in orders:
+            yield ("{\n" if k == orders[0] else "\n    ],\n") + f'    "{k}": [\n      '
+            for b, (members, nonempty) in enumerate(_order_blocks(len(boxes), ledger, k)):
+                pieces = _row_pieces(members, lowers, uppers, layout)
+                pieces.append(verdicts + nonempty)
+                text = "".join(pool[np.column_stack(pieces)].ravel().tolist())
+                yield text if b else text[len(_JSON_ROW_SEP) :]
+        yield "\n    ]\n  }"
+    else:
+        yield "{}"
+    yield f',\n  "terms_used": {terms_used},\n  "terms_full": {_digits(terms_full)}\n}}'
+
+
+_TABLE_VERDICTS = ("  no good\n", "  yes\n")
+
+
+def _screen_table(boxes, ledger, orders, terms_used, terms_full):
+    """The verdict tables in chunks, one per block of rows, then the
+    retained-term count.
+
+    A row is its cell, the members' ids and the coordinates the meet
+    takes, padded to the widest cell of its order, and the verdict.  The
+    cell lengths come from the fragment lengths, so the width is known
+    before the order's first row is written.
+    """
+    if orders:
+        ids = [box.id for box in boxes]
+        kinds = (ids, [text + " = [(" for text in ids])
+        lowers, uppers, pool = _fragment_pool(boxes, _table_texts, ", ", ("), (", ")]"), kinds)
+        lengths = np.fromiter(map(len, pool), dtype=np.intp, count=len(pool))
+        pool = np.array(pool, dtype=object)
+        layout = ((0, 0, 1),)
+
+        def blocks(k):
+            for members, nonempty in _order_blocks(len(boxes), ledger, k):
+                pieces = _row_pieces(members, lowers, uppers, layout)
+                yield pieces, sum(lengths[piece] for piece in pieces), nonempty
+
+        for k in orders:
+            width = int(max(cells.max() for _, cells, _ in blocks(k)))
+            yield f"{_order_name(k).ljust(width)}  nonempty?\n"
+            for pieces, cells, nonempty in blocks(k):
+                pad = width - cells
+                present = np.bincount(pad) > 0  # which pads occur; rank numbers them
+                pads = np.flatnonzero(present).tolist()
+                tails = [" " * p + verdict for p in pads for verdict in _TABLE_VERDICTS]
+                rank = np.cumsum(present) - 1
+                tails = np.array(tails, dtype=object)[2 * rank[pad] + nonempty]
+                rows = np.column_stack((pool[np.column_stack(pieces)], tails))
+                yield "".join(rows.ravel().tolist())
+            yield "\n"
+    yield f"retained {terms_used} of {_digits(terms_full)} inclusion-exclusion terms"
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +463,27 @@ def _screen_table(ids, sections, terms_used, terms_full) -> str:
 # Each returns its output once, as (json_key, table_label, value) fields in
 # output order: a None key leaves a field out of the JSON document, a None
 # label leaves it out of the table.  run writes the versioned envelope and
-# both formats.  screen, and graph's table, come back as rendered text.
+# both formats.  screen, and graph's table, come back as an iterable of
+# text chunks.
 
 
-def _cmd_screen(args) -> str:
-    """The verdict listing, rendered from the ledger's columns."""
+def _cmd_screen(args):
+    """The verdict listing, in chunks; every check is made before the first."""
     problem = parse_geometry(load_document(args.file))
     mode = _resolve_mode(args, problem)
     boxes = problem.boxes
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
+    pairs = n * (n - 1) // 2 if max_order >= 2 else 0
+    _check_screen_rows(pairs)  # before the walk builds its (N, N) pair mask
     ledger = enumerate_tuples(boxes, mode, n)
-    ids = np.array([box.id for box in boxes], dtype=object)
+    higher = [k for k in sorted(ledger.levels) if 3 <= k <= max_order]
+    _check_screen_rows(pairs + sum(len(ledger.levels[k].indices) for k in higher))
+    orders = ([2] if pairs else []) + higher
     terms = (ledger.term_count(), 2**n - 1)
     if args.format == "json":
-        sections = _screen_sections(boxes, ledger, max_order, _json_texts)
-        return _screen_json(mode, ids, sections, *terms)
-    sections = _screen_sections(boxes, ledger, max_order, _table_texts)
-    return _screen_table(ids, sections, *terms)
+        return _screen_json(mode, boxes, ledger, orders, *terms)
+    return _screen_table(boxes, ledger, orders, *terms)
 
 
 def _cmd_union(args):
@@ -541,7 +630,7 @@ def _cmd_graph(args):
     graph = build_graph(problem.boxes, mode)
     dot = to_dot(graph, [box.id for box in problem.boxes])
     if args.format == "table":
-        return dot.rstrip("\n")
+        return (dot.rstrip("\n"),)
     return [("mode", None, mode.value), ("dot", None, dot)]
 
 
@@ -641,14 +730,16 @@ def run(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    if isinstance(output, str):  # pre-rendered: screen, and graph's table
-        print(output)
-    elif args.format == "json":
-        doc = {"version": JSON_VERSION, "command": args.command}
-        doc.update((key, value) for key, _, value in output if key is not None)
-        print(_json_text(doc))
-    else:
-        print(_kv_table(output))
+    if isinstance(output, list):  # fields
+        if args.format == "json":
+            doc = {"version": JSON_VERSION, "command": args.command}
+            doc.update((key, value) for key, _, value in output if key is not None)
+            output = (_json_text(doc),)
+        else:
+            output = (_kv_table(output),)
+    for chunk in output:
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -12,7 +12,7 @@ import pytest
 from boxbounds import cli
 from boxbounds.bounding import hunter_worsley_upper, pairwise_probabilities
 from boxbounds.cli import run
-from boxbounds.geometry import EmptinessMode
+from boxbounds.geometry import Box, EmptinessMode
 from boxbounds.measure import ProductMeasure
 from boxbounds.screening import UnionResult, binomial_moments
 
@@ -132,10 +132,11 @@ def test_terms_full_past_the_int_digit_limit(capsys, fixtures_dir, monkeypatch):
     code, out, _ = _invoke(capsys, "union", path, "--format", "json")
     assert code == 0
     assert out.endswith(f'"terms_used": 1,\n  "terms_full": {digits}\n}}\n')
-    ids = np.array(["A"], dtype=object)
-    screen = cli._screen_json(EmptinessMode.POSITIVE_MEASURE, ids, [], 1, terms_full)
+    boxes = [Box("A", (0.0,), (1.0,))]
+    chunks = cli._screen_json(EmptinessMode.POSITIVE_MEASURE, boxes, None, [], 1, terms_full)
+    screen = "".join(chunks)
     assert screen.endswith(f'"terms_used": 1,\n  "terms_full": {digits}\n}}')
-    screen = cli._screen_table(ids, [], 1, terms_full)
+    screen = "".join(cli._screen_table(boxes, None, [], 1, terms_full))
     assert screen == f"retained 1 of {digits} inclusion-exclusion terms"
     assert sys.get_int_max_str_digits() == limit
 
@@ -374,10 +375,81 @@ def test_term_budget_exits_with_input_error(capsys, tmp_path):
     }
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(doc))
-    code, out, err = _invoke(capsys, "union", str(path))
-    assert code == 1
-    assert out == ""
-    assert "budget" in err
+    for argv in (("union",), ("screen", "--format", "json"), ("screen", "--format", "table")):
+        code, out, err = _invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+
+
+def test_screen_row_budget_exits_before_any_output(capsys, fixtures_dir, monkeypatch):
+    # example1 lists 10 pairs, 5 triples and 1 4-tuple.
+    path = str(fixtures_dir / "example1.json")
+    monkeypatch.setattr(cli, "SCREEN_ROW_BUDGET", 16)
+    for fmt in ("json", "table"):
+        assert _invoke(capsys, "screen", path, "--format", fmt)[0] == 0
+    monkeypatch.setattr(cli, "SCREEN_ROW_BUDGET", 15)
+    for fmt in ("json", "table"):
+        assert _invoke(capsys, "screen", path, "--format", fmt) == (
+            1, "", "error: 16 screen rows exceed the budget of 15\n"
+        )
+        # the orders left out are not counted
+        assert _invoke(capsys, "screen", path, "--max-order", "3", "--format", fmt)[0] == 0
+
+    def unreachable(*args):
+        pytest.fail("the walk started with more pairs than the row budget")
+
+    # C(N, 2) is checked before the walk, whose pair mask takes N^2 bytes.
+    monkeypatch.setattr(cli, "SCREEN_ROW_BUDGET", 9)
+    monkeypatch.setattr(cli, "enumerate_tuples", unreachable)
+    assert _invoke(capsys, "screen", path, "--max-order", "2") == (
+        1, "", "error: 10 screen rows exceed the budget of 9\n"
+    )
+
+
+class _Sink:
+    """A stdout that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_screen_streams_in_bounded_memory(tmp_path, monkeypatch):
+    # 600 sparse boxes list 179,700 pairs: 55 MB of JSON and 11 MB of table.
+    # The whole-document writers peaked at 233 and 67 MiB here, the
+    # streamed blocks at 2.1 and 1.0 MiB.
+    rng = np.random.default_rng(3)
+    lower = rng.uniform(0.0, 990.0, (600, 2))
+    upper = lower + rng.uniform(1.0, 10.0, (600, 2))
+    doc = {
+        "dimension": 2,
+        "measure": {"type": "uniform", "lower": [0, 0], "upper": [1000, 1000]},
+        "boxes": [
+            {"id": f"A{i}", "lower": lo, "upper": hi}
+            for i, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist()))
+        ],
+    }
+    path = tmp_path / "sparse600.json"
+    path.write_text(json.dumps(doc))
+    for fmt, size in (("json", 50_000_000), ("table", 10_000_000)):
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = run(["screen", str(path), "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.size > size
+        assert peak < 4 * 2**20
 
 
 def test_moment_bounds_walk_only_to_m(capsys, tmp_path):

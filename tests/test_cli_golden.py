@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from boxbounds import cli
 from boxbounds.cli import run
 
 ROOT = Path(__file__).parent.parent
@@ -173,6 +174,25 @@ def test_sparse_screen_digest(tmp_path, fmt):
     code, stdout = invoke(["screen", str(path), "--format", fmt])
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == SPARSE_SCREEN_SHA256[fmt]
+
+
+@pytest.mark.parametrize("block_rows", (1, 3))
+def test_screen_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows):
+    # Blocks of 1 and 3 rows put block edges mid-order and on order changes.
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(sparse_boxes()), encoding="utf-8")
+    expected = {}
+    for rest in ((), ("--max-order", "2"), ("--max-order", "3")):
+        for fmt in FORMATS:
+            for mode in MODES:
+                argv = ["screen", SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt]
+                recorded = _recorded()[" ".join(argv)]
+                expected[tuple(argv)] = (recorded["exit"], recorded["stdout"])
+            argv = ("screen", str(path), *rest, "--format", fmt)
+            expected[argv] = invoke(argv)
+    monkeypatch.setattr(cli, "_SCREEN_BLOCK_ROWS", block_rows)
+    for argv, output in expected.items():
+        assert invoke(argv) == output, argv
 
 
 if __name__ == "__main__":
