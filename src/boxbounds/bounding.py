@@ -267,9 +267,9 @@ def _pivot_until_optimal(
 class _Start:
     """A feasible basis from phase 1, over the rows it kept.
 
-    a and b are those rows as given, each row of negative right-hand side
-    sign-flipped.  Phase 1 never reads the objective, so one start serves
-    the min and the max of any objective over the same rows.
+    a and b are those rows as given.  Phase 1 never reads the objective,
+    so one start serves the min and the max of any objective over the
+    same rows.
     """
 
     basis: tuple[int, ...]
@@ -288,16 +288,14 @@ def _phase1(
     B.  Phase 1 then works on the rows of B^-1 a, where a row whose basic
     value is >= 0 starts on its column and only the others get an
     artificial.  A basic value is B^-1 b, a sum of up to m terms, and only
-    a negative value within the rounding bound of that sum counts as 0.
+    a negative value within its rounding bound m eps |B^-1| |b| counts as 0.
+    Rows are flipped to b >= 0 only after that, so on rows with b < 0 a
+    crash solve may end in another optimal basis than on the same rows
+    negated (Boolean rows have b >= 0; the moment LPs pass no crash).
     The start it returns holds the rows as given, not B^-1 a.
     """
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    rows, rhs = a, b
+    rows, rhs = a.copy(), b.copy()
     on_crash = np.zeros(m, dtype=bool)
     if crash is not None:
         named = crash >= 0
@@ -305,13 +303,12 @@ def _phase1(
         base[:, named] = a[:, crash[named]]
         body = np.linalg.solve(base, np.column_stack([a, b, np.eye(m)]))
         rows, rhs, inverse = body[:, :n], body[:, n], body[:, n + 1 :]
-        # b >= 0 here, so |B^-1| b bounds the terms of each basic value.
-        rounding = m * np.finfo(float).eps * (np.abs(inverse) @ b)
+        rounding = m * np.finfo(float).eps * (np.abs(inverse) @ np.abs(b))
         rhs[(rhs < 0.0) & (rhs >= -rounding)] = 0.0
         on_crash = named & (rhs >= 0.0)
-        flip = rhs < 0
-        rows[flip] *= -1.0
-        rhs[flip] *= -1.0
+    flip = rhs < 0
+    rows[flip] *= -1.0
+    rhs[flip] *= -1.0
 
     # Artificials on the rows off the crash basis, drive their total to zero.
     art = np.flatnonzero(~on_crash)
@@ -330,23 +327,15 @@ def _phase1(
         return None
 
     # Pivot leftover artificials out; an all-zero row is redundant and dropped.
-    drop = []
-    in_basis = set(basis)
+    free = np.ones(n, dtype=bool)
+    free[[j for j in basis if j < n]] = False
     for i in range(m):
-        if basis[i] < n:
-            continue
-        row = tableau[i, :n]
-        col = next(
-            (j for j in range(n) if j not in in_basis and abs(row[j]) > PIVOT_TOL),
-            None,
-        )
-        if col is None:
-            drop.append(i)
-        else:
-            in_basis.discard(basis[i])
-            _pivot(tableau, basis, i, col)
-            in_basis.add(col)
-    keep = [i for i in range(m) if i not in drop]
+        if basis[i] >= n:
+            cols = np.flatnonzero(free & (np.abs(tableau[i, :n]) > PIVOT_TOL))
+            if cols.size:
+                _pivot(tableau, basis, i, int(cols[0]))
+                free[basis[i]] = False
+    keep = [i for i in range(m) if basis[i] < n]
     return _Start(tuple(basis[i] for i in keep), a[keep], b[keep])
 
 
@@ -363,8 +352,7 @@ def _phase2(c: np.ndarray, start: _Start) -> LpResult:
 
     _rebuild(phase2, basis, a2, b2, c)
     x = np.zeros(n)
-    for i, bj in enumerate(basis):
-        x[bj] = phase2[i, -1]
+    x[basis] = phase2[:rows, -1]
     np.clip(x, 0.0, None, out=x)
     return LpResult(
         status="optimal",

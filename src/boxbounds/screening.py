@@ -243,26 +243,27 @@ TERM_BUDGET = 1_000_000
 MASK_BYTE_BUDGET = 128 * 2**20
 
 
-def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, extend=None):
+def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int):
     """Cliques of orders 1..cap whose smallest vertex is one of the roots.
 
-    Yields one ``(F, k)`` index array per nonempty order k, rows in
-    lexicographic order.  Each row keeps a mask of the later vertices
+    Yields ``(indices, f, w)`` per nonempty order k: ``indices`` is the
+    ``(F, k)`` index array, rows in lexicographic order, and row r of it
+    extends row ``f[r]`` of order k-1 by vertex ``w[r]`` (``f`` and ``w``
+    are None at order 1).  Each row keeps a mask of the later vertices
     adjacent to all of its members; order k+1 extends row f by every such
-    vertex w in row-major order, which keeps the rows lexicographic.
-    ``extend(f, w)``, when given, is called with the parent rows and the
-    added vertices of each new order before it is yielded.  The last order
-    of a capped walk gathers no mask.  Stops with an InputError before an
-    order whose candidates would take the walk past TERM_BUDGET terms, or
-    before a mask gather past MASK_BYTE_BUDGET.
+    vertex w in row-major order, which keeps the rows lexicographic.  The
+    last order of a capped walk gathers no mask.  Stops with an InputError
+    before an order whose candidates would take the walk past TERM_BUDGET
+    terms, or before a mask gather past MASK_BYTE_BUDGET.
     """
     indices = roots[:, None]
+    f = w = None
     cand = later[roots]
     kept = 0
     for k in range(1, cap + 1):
         if not len(indices):
             return
-        yield indices
+        yield indices, f, w
         kept += len(indices)
         if k == cap:
             return
@@ -273,8 +274,6 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int, extend=None):
                 f"exceed the budget of {TERM_BUDGET}"
             )
         f, w = np.nonzero(cand)
-        if extend is not None:
-            extend(f, w)
         indices = np.column_stack((indices[f], w))
         if k + 1 == cap:
             continue
@@ -304,7 +303,7 @@ def cliques_by_order(
     later[first, second] = True
     levels = _clique_levels(later, np.arange(n), cap)
     return {
-        k: [tuple(t) for t in indices.tolist()] for k, indices in enumerate(levels, 1)
+        k: [tuple(t) for t in indices.tolist()] for k, (indices, _, _) in enumerate(levels, 1)
     }
 
 
@@ -352,13 +351,10 @@ def enumerate_tuples(
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
     lower, upper = lowers[roots], uppers[roots]
-
-    def meet(f, w):
-        nonlocal lower, upper
-        lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
-        upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
-
-    for k, indices in enumerate(_clique_levels(later, roots, cap, meet), 1):
+    for k, (indices, f, w) in enumerate(_clique_levels(later, roots, cap), 1):
+        if f is not None:
+            lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
+            upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
         probability = None if measure is None else measure.rect_probabilities(lower, upper)
         levels[k] = LedgerOrder(indices, lower, upper, probability)
     return TupleLedger(n, ids, levels)
@@ -414,18 +410,33 @@ def binomial_moments(
     return MomentVector(n, s, _signed_total(ledger))
 
 
+def _dot_id(name: str) -> str:
+    """name as a DOT quoted string, where \\" is the one escape.
+
+    A backslash before a quote or a newline, or at the end, would join
+    with what follows it; DOT has no way to write such a name.
+    """
+    if name.endswith("\\") or '\\"' in name or "\\\n" in name:
+        raise InputError(f"id {name!r} cannot be written as a DOT quoted string")
+    return '"' + name.replace('"', '\\"') + '"'
+
+
 def to_dot(graph: IntersectionGraph, labels: Sequence[str] | None = None) -> str:
-    """DOT rendering of the graph with vertices labeled by event ids."""
+    """DOT rendering of the graph with vertices labeled by event ids.
+
+    Raises InputError for an id that no DOT quoted string can hold.
+    """
     if labels is None:
         labels = [str(v) for v in range(graph.n_events)]
     if len(labels) != graph.n_events:
         raise InputError(
             f"got {len(labels)} labels for {graph.n_events} vertices"
         )
+    names = [_dot_id(name) for name in labels]
     lines = ["graph intersections {"]
-    for name in labels:
-        lines.append(f'  "{name}";')
+    for name in names:
+        lines.append(f"  {name};")
     for i, j in sorted(graph.edges):
-        lines.append(f'  "{labels[i]}" -- "{labels[j]}";')
+        lines.append(f"  {names[i]} -- {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -155,23 +155,32 @@ def test_three_event_two_moment_instance_against_vertex_enumeration():
 
 def test_random_lps_against_vertex_enumeration():
     rng = np.random.default_rng(123)
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        rows_n = int(rng.integers(1, min(3, n) + 1))
-        a = rng.integers(0, 4, size=(rows_n, n)).astype(float)
-        x_feasible = rng.random(n)
-        a = np.vstack([a, np.ones(n)])  # total-mass row keeps the LP bounded
-        b = a @ x_feasible
-        c = rng.integers(-3, 4, size=n).astype(float)
-        rows = tuple(tuple(row) for row in a)
-        for sense in ("min", "max"):
-            expected = lp_optimum_by_vertex_enumeration(c, rows, tuple(b), sense)
-            got = solve_lp(LpProblem(tuple(c), sense, rows, tuple(b)))
-            assert got.status == "optimal"
-            assert got.value == pytest.approx(expected, abs=1e-8)
-            residual = np.abs(a @ np.array(got.solution) - b).max()
-            assert residual <= TOL
-            assert min(got.solution) >= -1e-12
+    # Entries 0..3, then mixed signs, where rows with b < 0 meet phase 1's
+    # flip; those are held bit for bit to the two-call simplex as well.
+    for low in (0, -3):
+        negative_rows = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            rows_n = int(rng.integers(1, min(3, n) + 1))
+            a = rng.integers(low, 4, size=(rows_n, n)).astype(float)
+            x_feasible = rng.random(n)
+            a = np.vstack([a, np.ones(n)])  # total-mass row keeps the LP bounded
+            b = a @ x_feasible
+            negative_rows += int((b < 0).any())
+            c = rng.integers(-3, 4, size=n).astype(float)
+            rows = tuple(tuple(row) for row in a)
+            for sense in ("min", "max"):
+                expected = lp_optimum_by_vertex_enumeration(c, rows, tuple(b), sense)
+                problem = LpProblem(tuple(c), sense, rows, tuple(b))
+                got = solve_lp(problem)
+                assert got.status == "optimal"
+                assert got.value == pytest.approx(expected, abs=1e-8)
+                residual = np.abs(a @ np.array(got.solution) - b).max()
+                assert residual <= TOL
+                assert min(got.solution) >= -1e-12
+                if low < 0:
+                    assert _bits(got) == _bits(two_call_solve_lp(problem))
+        assert (negative_rows > 0) == (low < 0)
 
 
 def test_redundant_rows_are_tolerated():

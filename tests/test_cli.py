@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -250,6 +251,36 @@ def test_graph_dot(capsys, fixtures_dir):
     assert code == 0
     assert out.startswith("graph intersections {")
     assert '"A2" -- "A7";' in out
+
+
+def _dot_strings(text):
+    """The quoted strings of DOT text, read with DOT's one escape, \\" for "."""
+    return [
+        body.replace('\\"', '"') for body in re.findall(r'"((?:\\.|[^"\\])*)"', text, re.S)
+    ]
+
+
+def test_graph_quotes_every_id(capsys):
+    path = Path(__file__).parent / "golden" / "screen-edges.json"
+    ids = [box["id"] for box in json.loads(path.read_text(encoding="utf-8"))["boxes"]]
+    code, out, _ = _invoke(capsys, "graph", str(path))
+    assert code == 0
+    strings = _dot_strings(out)
+    assert strings[: len(ids)] == ids
+    assert len(strings) > len(ids) and set(strings[len(ids) :]) <= set(ids)
+
+
+def test_graph_exits_1_on_an_id_dot_cannot_quote(capsys, tmp_path):
+    doc = {
+        "dimension": 1,
+        "measure": {"type": "uniform", "lower": [0], "upper": [1]},
+        "boxes": [{"id": "A\\", "lower": [0], "upper": [1]}],
+    }
+    path = tmp_path / "backslash.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, "graph", str(path))
+    assert (code, out) == (1, "")
+    assert "DOT quoted string" in err
 
 
 def test_json_output_is_deterministic(capsys, fixtures_dir):

@@ -268,6 +268,13 @@ def test_to_dot(ex2):
         to_dot(graph, ["X"])
 
 
+@pytest.mark.parametrize("name", ["A\\", 'A\\"1', "A\\\n1"])
+def test_to_dot_rejects_an_id_dot_cannot_quote(name):
+    # A backslash at the end or before a quote or a newline cannot be quoted.
+    with pytest.raises(InputError, match="cannot be written as a DOT quoted string"):
+        to_dot(IntersectionGraph(2, frozenset()), ["B", name])
+
+
 def test_order_sum_requires_measure(ex1):
     boxes, _ = ex1
     ledger = enumerate_tuples(boxes, STRICT, 2)
