@@ -9,7 +9,11 @@ on ``tests/golden/screen-edges.json``, nine hand-made boxes with ±0.0,
 ±inf, subnormal and extreme coordinates, touching faces, zero widths and
 ids that JSON must escape, at every ``--max-order`` from 0 to N + 1, and
 the cell oracle runs on the same file, whose infinite and subnormal cuts
-border zero-mass grid cells.  The recorded outputs live in
+border zero-mass grid cells.  ``tests/golden/piecewise-d3.json`` holds
+eight hand-made 3-d boxes under a different piecewise marginal per axis,
+one with a flat segment, with coordinates on knots, outside the support,
+±0.0 and ±inf; the ledger's subcommands, the atom LP and the cell oracle
+run on it.  The recorded outputs live in
 ``tests/golden/cli_stdout.json``; regenerate them only for an intended
 output change, with
 
@@ -68,6 +72,13 @@ ORACLE_COMMANDS = (
 MOMENTS = (("moments-n20-m16", "16", "5"), ("moments-n60-m3", "2", "15"))
 SCREEN_EDGES = "tests/golden/screen-edges.json"
 SCREEN_EDGE_EVENTS = 9
+PIECEWISE = "tests/golden/piecewise-d3.json"
+PIECEWISE_COMMANDS = (
+    ("union",),
+    ("moments",),
+    ("bounds", "--with-q", "--target", "atleast", "--r", "2"),
+    ("bounds", "--method", "boolean", "--m", "3"),
+)
 
 
 def moment_commands(m, r):
@@ -99,6 +110,11 @@ def cases():
                 out.append(["screen", SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt])
     for fmt in FORMATS:
         out.append(["oracle", SCREEN_EDGES, "--engine", "cells", "--format", fmt])
+    for fmt in FORMATS:
+        for command, *rest in PIECEWISE_COMMANDS:
+            for mode in MODES:
+                out.append([command, PIECEWISE, *rest, "--mode", mode, "--format", fmt])
+        out.append(["oracle", PIECEWISE, "--engine", "cells", "--format", fmt])
     for name, m, r in MOMENTS:
         path = f"tests/golden/{name}.json"
         for fmt in FORMATS:
