@@ -121,6 +121,22 @@ class PiecewiseCdf:
 Marginal = Union[UniformInterval, PiecewiseCdf]
 
 
+def clamped_product(lower_cdfs: np.ndarray, upper_cdfs: np.ndarray) -> np.ndarray:
+    """Box probabilities from the CDF values of their ``(F, d)`` vertex arrays.
+
+    Row f is the product over coordinates k, left to right, of
+    ``upper_cdfs[f, k] - lower_cdfs[f, k]`` clamped at zero: the float
+    operations of rect_probability, whose early return on a zero product
+    changes nothing, as every factor is finite and nonnegative.
+    """
+    d = upper_cdfs - lower_cdfs
+    factors = np.where(d > 0.0, d, 0.0)
+    p = factors[:, 0].copy()
+    for k in range(1, factors.shape[1]):
+        p *= factors[:, k]
+    return p
+
+
 @dataclass(frozen=True)
 class ProductMeasure:
     """Independent per-coordinate marginals defining a measure on R^n."""
@@ -173,10 +189,9 @@ class ProductMeasure:
     def rect_probabilities(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """rect_probability of every row of two ``(F, dimension)`` vertex arrays.
 
-        The float operations and their order are rect_probability's, so each
-        entry equals the scalar result bit for bit: a product of one factor
-        per coordinate, left to right, where a zero factor keeps the product
-        at zero just as the scalar early return does.
+        The CDFs of both vertex arrays go through clamped_product, whose
+        float operations and their order are rect_probability's, so each
+        entry equals the scalar result bit for bit.
         """
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
@@ -185,11 +200,14 @@ class ProductMeasure:
                 f"vertex arrays of shapes {lower.shape} and {upper.shape} do not "
                 f"match measure dimension {self.dimension}"
             )
-        p = np.ones(len(lower))
+        return clamped_product(self.cdf_table(lower), self.cdf_table(upper))
+
+    def cdf_table(self, x: np.ndarray) -> np.ndarray:
+        """Marginal k's cdf of every coordinate k of a ``(..., dimension)`` array."""
+        out = np.empty_like(x, dtype=float)
         for k, marginal in enumerate(self.marginals):
-            d = marginal.cdfs(upper[:, k]) - marginal.cdfs(lower[:, k])
-            p *= np.where(d > 0.0, d, 0.0)
-        return p
+            out[..., k] = marginal.cdfs(x[..., k])
+        return out
 
     def box_probability(self, box: Box) -> float:
         """Probability of the box under this measure."""

@@ -198,11 +198,13 @@ def monte_carlo_union(
         size = min(remaining, _MC_CHUNK)
         columns = np.ascontiguousarray(measure.sample(rng, size).T)
         hit = np.zeros(size, dtype=bool)
+        inside = np.empty(size, dtype=bool)
+        scratch = np.empty(size, dtype=bool)
         for box in boxes:
-            inside = np.ones(size, dtype=bool)
+            inside.fill(True)
             for column, lo, hi in zip(columns, box.lower, box.upper):
-                inside &= column >= lo
-                inside &= column <= hi
+                inside &= np.greater_equal(column, lo, out=scratch)
+                inside &= np.less_equal(column, hi, out=scratch)
             hit |= inside
         hits += int(hit.sum())
         remaining -= size

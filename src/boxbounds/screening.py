@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box, EmptinessMode, require_same_dimension
-from .measure import ProductMeasure
+from .measure import ProductMeasure, clamped_product
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class LedgerOrder(NamedTuple):
     """The surviving tuples of one order k as columns, row f being one tuple.
 
     ``indices`` is ``(F, k)``, ``lower``/``upper`` are ``(F, d)`` and hold
-    the intersection vertices, ``probability`` is ``(F,)`` or None when the
+    the intersection vertices (enumerate_tuples gives the two halves of one
+    ``(F, 2, d)`` array), ``probability`` is ``(F,)`` or None when the
     ledger was built without a measure.  Rows are in lexicographic order.
     """
 
@@ -333,8 +334,14 @@ def enumerate_tuples(
     intersection probabilities; every tuple the walk leaves out has
     probability exactly 0.0 under POSITIVE_MEASURE.  Whole orders are
     built at once; the meet picks each vertex with the comparison Python's
-    max/min make, as in pair_verdicts.  Raises InputError when the walk
-    would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    max/min make, as in pair_verdicts.  So every meet coordinate is one
+    member's own coordinate: each marginal's CDF is evaluated once, on the
+    boxes' vertices, and the meet's CDF values follow the same pick.  An
+    order's probabilities are clamped_product of those values, bit for bit
+    rect_probabilities of its vertices.  The CDF values of an order live
+    only until the next order is built; the ledger keeps indices, vertices
+    and probabilities.  Raises InputError when the walk would exceed
+    TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     lowers, uppers = _vertex_arrays(boxes)
     if measure is not None and boxes and lowers.shape[1] != measure.dimension:
@@ -350,13 +357,27 @@ def enumerate_tuples(
     later = _pair_mask(lowers, uppers, mode)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
-    lower, upper = lowers[roots], uppers[roots]
+    # Row r of an (F, 2, d) table holds a lower and an upper vertex, and
+    # the CDF table holds their CDF values.
+    vertices = np.stack((lowers, uppers), axis=1)
+    current = vertices[roots]
+    if measure is not None:
+        cdfs = measure.cdf_table(vertices)
+        current_cdfs = cdfs[roots]
     for k, (indices, f, w) in enumerate(_clique_levels(later, roots, cap), 1):
         if f is not None:
-            lower = np.where(lowers[w] > lower[f], lowers[w], lower[f])
-            upper = np.where(uppers[w] < upper[f], uppers[w], upper[f])
-        probability = None if measure is None else measure.rect_probabilities(lower, upper)
-        levels[k] = LedgerOrder(indices, lower, upper, probability)
+            theirs, mine = vertices[w], current[f]
+            take = np.empty(theirs.shape, dtype=bool)
+            np.greater(theirs[:, 0], mine[:, 0], out=take[:, 0])
+            np.less(theirs[:, 1], mine[:, 1], out=take[:, 1])
+            current = np.where(take, theirs, mine)
+            del theirs, mine  # before the CDF gathers, which lowers the peak
+            if measure is not None:
+                current_cdfs = np.where(take, cdfs[w], current_cdfs[f])
+        probability = None
+        if measure is not None:
+            probability = clamped_product(current_cdfs[:, 0], current_cdfs[:, 1])
+        levels[k] = LedgerOrder(indices, current[:, 0], current[:, 1], probability)
     return TupleLedger(n, ids, levels)
 
 

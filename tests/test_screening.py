@@ -367,12 +367,17 @@ def test_pair_pass_matches_meet_vertices(boxes, mode):
 
 def _ledger_measures(dim):
     """A uniform measure whose support misses part of the coordinate grid,
-    and a piecewise-linear one with a flat segment and knot values whose
-    interpolation from the left segment rounds (0.1 + 1.0 * 0.35 < 0.45)."""
-    uniform = ProductMeasure((UniformInterval(-1.0, 1.5),) * dim)
+    a piecewise-linear one with a flat segment and knot values whose
+    interpolation from the left segment rounds (0.1 + 1.0 * 0.35 < 0.45),
+    and one with a different marginal per axis (that uniform, that
+    piecewise CDF, a shifted uniform), so a CDF taken on the wrong axis
+    changes a probability."""
+    support = UniformInterval(-1.0, 1.5)
+    uniform = ProductMeasure((support,) * dim)
     cdf = PiecewiseCdf((-1.0, 0.0, 0.5, 1.0, 2.0), (0.0, 0.1, 0.45, 0.45, 1.0))
     piecewise = ProductMeasure((cdf,) * dim)
-    return uniform, piecewise
+    mixed = ProductMeasure((support, cdf, UniformInterval(-0.5, 2.5))[:dim])
+    return uniform, piecewise, mixed
 
 
 def _reference_ledger(boxes, mode, max_order, measure):
@@ -388,12 +393,13 @@ def _reference_ledger(boxes, mode, max_order, measure):
     return rows
 
 
-@given(box_lists(), st.sampled_from(list(EmptinessMode)), st.integers(0, 8), st.integers(0, 2))
+@given(box_lists(), st.sampled_from(list(EmptinessMode)), st.integers(0, 8), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 @example([], STRICT, 3, 0)
 @example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], CLOSED, 2, 1)
 @example([Box("A", (0.5, 0.0), (0.5, 1.0)), Box("B", (0.0, 0.0), (1.0, 1.0))], CLOSED, 2, 2)
 @example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, CLOSED, 4, 1)
+@example([Box("A", (-1.0, 0.0, 0.0), (1.0, 2.0, 2.0)), Box("B", (0.0, 0.5, 1.0), (2.0, 1.0, inf))], CLOSED, 2, 3)
 def test_enumerate_tuples_matches_brute_force(boxes, mode, max_order, measure_kind):
     measure = None
     if boxes and measure_kind:
@@ -450,15 +456,40 @@ def test_walk_memory_stays_within_the_mask_budget():
     assert capped_peak < 32 * 2**20
 
 
+def test_ledger_holds_only_its_columns():
+    # 16 boxes that all share the centre of the cube keep every one of the
+    # 2^16 - 1 tuples.  A term of order k keeps k indices, 2d vertex
+    # coordinates and one probability, 8 bytes each, so CDF values the
+    # walk computes on the way must not stay reachable from the ledger.
+    d = 3
+    rng = np.random.default_rng(16)
+    boxes = [
+        Box(f"A{i}", tuple(rng.uniform(0.0, 0.4, d).tolist()), tuple(rng.uniform(0.6, 1.0, d).tolist()))
+        for i in range(16)
+    ]
+    cdf = PiecewiseCdf((0.0, 0.3, 0.5, 1.0), (0.0, 0.4, 0.4, 1.0))
+    measure = ProductMeasure((cdf, UniformInterval(0.0, 1.0), cdf))
+    tracemalloc.start()
+    try:
+        ledger = enumerate_tuples(boxes, STRICT, len(boxes), measure)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ledger.term_count() == 2**16 - 1
+    columns = sum(len(level.indices) * (k + 2 * d + 1) * 8 for k, level in ledger.levels.items())
+    # The slack covers the array headers and the ledger's small objects.
+    assert held <= 1.1 * columns + 64 * 2**10
+
+
 # A non-monotone CDF would give the measure-zero meet of boxes that end
 # and start one ULP apart at a knot a positive probability.
 ULP_CDF = PiecewiseCdf(ULP_KNOTS, ULP_VALUES)
 ULP_BELOW_KNOT = float(np.nextafter(ULP_KNOTS[2], 0.0))
 
 
-@given(box_lists(), st.integers(1, 6), st.integers(1, 3))
+@given(box_lists(), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
-@example([Box("A", (0.0,), (ULP_BELOW_KNOT,)), Box("B", (ULP_KNOTS[2],), (11.0,))], 2, 3)
+@example([Box("A", (0.0,), (ULP_BELOW_KNOT,)), Box("B", (ULP_KNOTS[2],), (11.0,))], 2, 4)
 @example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], 2, 1)
 @example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, 4, 2)
 def test_boolean_system_matches_brute_force(boxes, m, measure_kind):
