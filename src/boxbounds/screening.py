@@ -357,8 +357,7 @@ def enumerate_tuples(
     later = _pair_mask(lowers, uppers, mode)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
-    # Row r of an (F, 2, d) table holds a lower and an upper vertex, and
-    # the CDF table holds their CDF values.
+    # (N, 2, d): each box's lower and upper vertex; cdfs holds their CDF values.
     vertices = np.stack((lowers, uppers), axis=1)
     current = vertices[roots]
     if measure is not None:

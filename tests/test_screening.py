@@ -399,7 +399,8 @@ def _reference_ledger(boxes, mode, max_order, measure):
 @example([Box("A", (0.0, 0.0), (1.0, 1.0)), Box("B", (1.0, 0.0), (2.0, 1.0))], CLOSED, 2, 1)
 @example([Box("A", (0.5, 0.0), (0.5, 1.0)), Box("B", (0.0, 0.0), (1.0, 1.0))], CLOSED, 2, 2)
 @example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, CLOSED, 4, 1)
-@example([Box("A", (-1.0, 0.0, 0.0), (1.0, 2.0, 2.0)), Box("B", (0.0, 0.5, 1.0), (2.0, 1.0, inf))], CLOSED, 2, 3)
+@example([Box("A", (-1.0, 0.0, 0.0), (1.0, 2.0, 2.0)), Box("B", (0.0, 0.5, 1.0), (2.0, 1.0, inf))],
+         CLOSED, 2, 3)
 def test_enumerate_tuples_matches_brute_force(boxes, mode, max_order, measure_kind):
     measure = None
     if boxes and measure_kind:
@@ -463,10 +464,9 @@ def test_ledger_holds_only_its_columns():
     # walk computes on the way must not stay reachable from the ledger.
     d = 3
     rng = np.random.default_rng(16)
-    boxes = [
-        Box(f"A{i}", tuple(rng.uniform(0.0, 0.4, d).tolist()), tuple(rng.uniform(0.6, 1.0, d).tolist()))
-        for i in range(16)
-    ]
+    lowers = rng.uniform(0.0, 0.4, (16, d)).tolist()
+    uppers = rng.uniform(0.6, 1.0, (16, d)).tolist()
+    boxes = [Box(f"A{i}", tuple(lo), tuple(hi)) for i, (lo, hi) in enumerate(zip(lowers, uppers))]
     cdf = PiecewiseCdf((0.0, 0.3, 0.5, 1.0), (0.0, 0.4, 0.4, 1.0))
     measure = ProductMeasure((cdf, UniformInterval(0.0, 1.0), cdf))
     tracemalloc.start()
