@@ -8,8 +8,9 @@ binomial moments and union of a count distribution drawn as
 on ``tests/golden/screen-edges.json``, nine hand-made boxes with ±0.0,
 ±inf, subnormal and extreme coordinates, touching faces, zero widths and
 ids that JSON must escape, at every ``--max-order`` from 0 to N + 1, and
-the cell oracle runs on the same file, whose infinite and subnormal cuts
-border zero-mass grid cells.  ``tests/golden/piecewise-d3.json`` holds
+``graph``, ``union``, ``moments``, Hunter-Worsley and the cell oracle
+run on the same file, whose infinite and subnormal cuts border zero-mass
+grid cells.  ``tests/golden/piecewise-d3.json`` holds
 eight hand-made 3-d boxes under a different piecewise marginal per axis,
 one with a flat segment, with coordinates on knots, outside the support,
 ±0.0 and ±inf; the ledger's subcommands, the atom LP and the cell oracle
@@ -72,6 +73,13 @@ ORACLE_COMMANDS = (
 MOMENTS = (("moments-n20-m16", "16", "5"), ("moments-n60-m3", "2", "15"))
 SCREEN_EDGES = "tests/golden/screen-edges.json"
 SCREEN_EDGE_EVENTS = 9
+# The pair mask decides these on the edge cases too.
+SCREEN_EDGE_COMMANDS = (
+    ("graph",),
+    ("union",),
+    ("moments",),
+    ("bounds", "--method", "hunter-worsley"),
+)
 PIECEWISE = "tests/golden/piecewise-d3.json"
 PIECEWISE_COMMANDS = (
     ("union",),
@@ -109,6 +117,9 @@ def cases():
             for mode in MODES:
                 out.append(["screen", SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt])
     for fmt in FORMATS:
+        for command, *rest in SCREEN_EDGE_COMMANDS:
+            for mode in MODES:
+                out.append([command, SCREEN_EDGES, *rest, "--mode", mode, "--format", fmt])
         out.append(["oracle", SCREEN_EDGES, "--engine", "cells", "--format", fmt])
     for fmt in FORMATS:
         for command, *rest in PIECEWISE_COMMANDS:
