@@ -472,14 +472,25 @@ def _moment_pair(
     return _solve_pair(counts, lo, hi, a_eq, b_eq, method, capped)
 
 
-def _resolve_order(moments: MomentVector, m: int | None, default: int | None = None) -> int:
+def _resolve_order(available: int, m: int | None, default: int | None = None) -> int:
     if m is None:
-        m = moments.m if default is None else min(default, moments.m)
-    if not 1 <= m <= moments.m:
-        raise InputError(
-            f"moment order m={m} not available (have S_1..S_{moments.m})"
-        )
+        m = available if default is None else min(default, available)
+    if not 1 <= m <= available:
+        raise InputError(f"moment order m={m} not available (have S_1..S_{available})")
     return m
+
+
+def check_moment_request(
+    target: str, n: int, r: int | None, m: int | None = None, with_q: bool = False
+) -> None:
+    """Raise the InputError that the moment bound on target over n events
+    gives for r, and for m when given, before the moments are known."""
+    first = 0 if target == "exactly" and not with_q else 1
+    if target != "union" and not first <= r <= n:
+        no_p0 = " (no p_0 in this layout)" if target == "exactly" and with_q else ""
+        raise InputError(f"r={r} out of range {first}..{n}{no_p0}")
+    if m is not None:
+        _resolve_order(n, m)
 
 
 def union_bounds(
@@ -492,7 +503,7 @@ def union_bounds(
     """
     if moments.n_events < 1:
         raise InputError("need at least one event")
-    m = _resolve_order(moments, m)
+    m = _resolve_order(moments.m, m)
     label = f"moment-p0(m={m})" if include_p0 else f"moment(m={m})"
     return _moment_pair(moments, m, 0 if include_p0 else 1, 1, moments.n_events, label)
 
@@ -500,18 +511,16 @@ def union_bounds(
 def atleast_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
     """Sharp bounds on P(at least r events occur) from S_1..S_m."""
     n = moments.n_events
-    if not 1 <= r <= n:
-        raise InputError(f"r={r} out of range 1..{n}")
-    m = _resolve_order(moments, m)
+    check_moment_request("atleast", n, r)
+    m = _resolve_order(moments.m, m)
     return _moment_pair(moments, m, 0, r, n, f"moment-p0(m={m})")
 
 
 def exactly_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
     """Sharp bounds on P(exactly r events occur) from S_1..S_m."""
     n = moments.n_events
-    if not 0 <= r <= n:
-        raise InputError(f"r={r} out of range 0..{n}")
-    m = _resolve_order(moments, m)
+    check_moment_request("exactly", n, r)
+    m = _resolve_order(moments.m, m)
     return _moment_pair(moments, m, 0, r, r, f"moment-p0(m={m})")
 
 
@@ -534,10 +543,9 @@ def q_atleast_bounds(
     never loosens the plain bounds.  m defaults to min(3, available).
     """
     n = moments.n_events
-    if not 1 <= r <= n:
-        raise InputError(f"r={r} out of range 1..{n}")
+    check_moment_request("atleast", n, r, with_q=True)
     q = _resolve_q(moments, q)
-    m = _resolve_order(moments, m, default=3)
+    m = _resolve_order(moments.m, m, default=3)
     return _moment_pair(moments, m, 1, r, n, f"q-moment(m={m})", q)
 
 
@@ -550,10 +558,9 @@ def q_exactly_bounds(
     exactly_r_bounds for the count-zero target.
     """
     n = moments.n_events
-    if not 1 <= r <= n:
-        raise InputError(f"r={r} out of range 1..{n} (no p_0 in this layout)")
+    check_moment_request("exactly", n, r, with_q=True)
     q = _resolve_q(moments, q)
-    m = _resolve_order(moments, m, default=3)
+    m = _resolve_order(moments.m, m, default=3)
     return _moment_pair(moments, m, 1, r, r, f"q-moment(m={m})", q)
 
 

@@ -25,6 +25,7 @@ from .bounding import (
     boolean_lp_bounds,
     boolean_system_from_boxes,
     check_atom_cap,
+    check_moment_request,
     exactly_r_bounds,
     hunter_worsley_upper,
     q_atleast_bounds,
@@ -546,26 +547,22 @@ def _cmd_bounds(args):
     m = min(3, n if moments is None else moments.m) if args.m is None else args.m
 
     if args.method == "moment":
-        if problem is not None and (args.with_q or not 1 <= m <= n):
-            # q, or the m-range error naming S_1..S_N, needs the full walk
+        if problem is not None:  # before a walk that may be long or over budget
+            check_moment_request(target, n, r, m, args.with_q)
+        if problem is not None and args.with_q:  # q needs the full walk
             moments = binomial_moments(problem.boxes, problem.measure, mode, n)
         elif problem is not None:
             ledger = enumerate_tuples(problem.boxes, mode, m, problem.measure)
             moments = MomentVector(n, tuple(ledger.order_sum(k) for k in range(1, m + 1)))
         if args.with_q:
-            effective_r = 1 if target == "union" else r
-            if target == "exactly":
-                pair = q_exactly_bounds(moments, effective_r, m)
-            else:
-                pair = q_atleast_bounds(moments, effective_r, m)
+            q_bounds = q_exactly_bounds if target == "exactly" else q_atleast_bounds
+            result = q_bounds(moments, 1 if target == "union" else r, m)
         elif target == "union":
             # p_0 and its S_0 = 1 row keep the upper bound at most 1
-            pair = union_bounds(moments, m, include_p0=True)
-        elif target == "atleast":
-            pair = atleast_r_bounds(moments, r, m)
+            result = union_bounds(moments, m, include_p0=True)
         else:
-            pair = exactly_r_bounds(moments, r, m)
-        result = pair
+            r_bounds = atleast_r_bounds if target == "atleast" else exactly_r_bounds
+            result = r_bounds(moments, r, m)
     elif args.method == "boolean":
         if problem is None:
             raise InputError("--method boolean needs geometry input")

@@ -41,8 +41,6 @@ class IntersectionGraph:
         return len(self.edges)
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
         return (min(i, j), max(i, j)) in self.edges
 
 
@@ -185,27 +183,32 @@ def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
     return lowers, uppers
 
 
-def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode) -> np.ndarray:
-    """``(N, N)`` mask: ``later[i, j]``, i < j, when boxes i and j pass the vertex test.
+def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
+    """Boxes that pass the vertex test, and ``later[i, j]``, i < j, when i and j do.
 
-    One row at a time, so working memory stays O(N·d) per row.  A verdict
-    only compares values, and a comparison cannot tell 0.0 from -0.0, so
-    np.maximum and np.minimum are safe here although they do not promise
-    the sign of zero meet_vertices keeps.
+    Without NaN, max(a, b) < min(c, d) exactly when a < c, a < d, b < c and
+    b < d (so too for <=).  So each axis takes one outer test of the lower
+    against the upper vertices, into one reused ``(N, N)`` buffer whose
+    diagonal holds each box's verdict and which, ANDed with its transpose,
+    holds the pair's.  Mask and buffer take 2N² bytes, build_graph's peak;
+    the walk's peak is unchanged, as it holds an ``(R, N)`` candidate
+    gather next to the mask anyway.
     """
     n = len(lowers)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
-    later = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        lower = np.maximum(lowers[i + 1 :], lowers[i])
-        upper = np.minimum(uppers[i + 1 :], uppers[i])
-        later[i, i + 1 :] = test(lower, upper).all(axis=1)
-    return later
+    later, meets = np.less.outer(np.arange(n), np.arange(n)), np.empty((n, n), dtype=bool)
+    passes = np.ones(n, dtype=bool)
+    for lower, upper in zip(lowers.T, uppers.T):
+        later &= test.outer(lower, upper, out=meets)
+        later &= meets.T
+        passes &= meets.diagonal()
+    later[~passes] = later[:, ~passes] = False
+    return passes, later
 
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    first, second = np.nonzero(_pair_mask(*_vertex_arrays(boxes), mode))
+    first, second = np.nonzero(_pair_mask(*_vertex_arrays(boxes), mode)[1])
     return IntersectionGraph(len(boxes), frozenset(zip(first.tolist(), second.tolist())))
 
 
@@ -218,18 +221,12 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
     """
     lowers, uppers = _vertex_arrays(boxes)
     first, second = np.triu_indices(len(boxes), 1)
-    nonempty = _pair_mask(lowers, uppers, mode)[first, second]
+    nonempty = _pair_mask(lowers, uppers, mode)[1][first, second]
     lower = np.where(lowers[second] > lowers[first], lowers[second], lowers[first])
     upper = np.where(uppers[second] < uppers[first], uppers[second], uppers[first])
     ids = [box.id for box in boxes]
     return [
-        TupleVerdict(
-            indices=(i, j),
-            label=ids[i] + ids[j],
-            lower=tuple(lo),
-            upper=tuple(hi),
-            nonempty=verdict,
-        )
+        TupleVerdict((i, j), ids[i] + ids[j], tuple(lo), tuple(hi), verdict)
         for i, j, lo, hi, verdict in zip(
             first.tolist(), second.tolist(), lower.tolist(), upper.tolist(), nonempty.tolist()
         )
@@ -324,24 +321,24 @@ def enumerate_tuples(
 ) -> TupleLedger:
     """All index tuples of order <= max_order with nonempty intersection.
 
-    One screened walk: the pair test gives the later-neighbour mask, and
-    order k extends the surviving (k-1)-tuples by neighbours common to
-    every member.  The extensions need no k-wise re-test: max and min do
-    not round, so a meet passes the vertex test exactly when every
-    member's lower vertex passes it against every member's upper one,
-    which the singleton and pair tests have checked.  max_order above the
-    event count is clamped.  With a measure given, each order carries its
-    intersection probabilities; every tuple the walk leaves out has
-    probability exactly 0.0 under POSITIVE_MEASURE.  Whole orders are
-    built at once; the meet picks each vertex with the comparison Python's
-    max/min make, as in pair_verdicts.  So every meet coordinate is one
-    member's own coordinate: each marginal's CDF is evaluated once, on the
-    boxes' vertices, and the meet's CDF values follow the same pick.  An
-    order's probabilities are clamped_product of those values, bit for bit
-    rect_probabilities of its vertices.  The CDF values of an order live
-    only until the next order is built; the ledger keeps indices, vertices
-    and probabilities.  Raises InputError when the walk would exceed
-    TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    One screened walk from the pair test's pass: its per-box verdicts give
+    the roots, its mask the later neighbours, and order k extends the
+    surviving (k-1)-tuples by neighbours common to every member.  The
+    extensions need no k-wise re-test: max and min do not round, so a meet
+    passes the vertex test exactly when every member's lower vertex passes
+    it against every member's upper one, which the pass has checked.
+    max_order above the event count is clamped.  With a measure given, each
+    order carries its intersection probabilities; every tuple the walk
+    leaves out has probability exactly 0.0 under POSITIVE_MEASURE.  Whole
+    orders are built at once; the meet picks each vertex with the
+    comparison Python's max/min make, as in pair_verdicts.  So every meet
+    coordinate is one member's own coordinate: each marginal's CDF is
+    evaluated once, on the boxes' vertices, and the meet's CDF values
+    follow the same pick.  An order's probabilities are clamped_product of
+    those values, bit for bit rect_probabilities of its vertices.  The CDF
+    values of an order live only until the next order is built; the ledger
+    keeps indices, vertices and probabilities.  Raises InputError when the
+    walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     lowers, uppers = _vertex_arrays(boxes)
     if measure is not None and boxes and lowers.shape[1] != measure.dimension:
@@ -354,9 +351,8 @@ def enumerate_tuples(
     levels: dict[int, LedgerOrder] = {}
     if cap < 1:
         return TupleLedger(n, ids, levels)
-    later = _pair_mask(lowers, uppers, mode)
-    test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
-    roots = np.flatnonzero(test(lowers, uppers).all(axis=1))
+    passes, later = _pair_mask(lowers, uppers, mode)
+    roots = np.flatnonzero(passes)
     # (N, 2, d): each box's lower and upper vertex; cdfs holds their CDF values.
     vertices = np.stack((lowers, uppers), axis=1)
     current = vertices[roots]

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -275,6 +276,53 @@ def test_moment_order_validation():
         atleast_r_bounds(moments, 4)
     with pytest.raises(InputError):
         exactly_r_bounds(moments, -1)
+
+
+@pytest.mark.parametrize(
+    "bound, args, message",
+    [
+        (union_bounds, (3,), "moment order m=3 not available (have S_1..S_2)"),
+        (atleast_r_bounds, (4,), "r=4 out of range 1..3"),
+        (atleast_r_bounds, (1, 0), "moment order m=0 not available (have S_1..S_2)"),
+        (exactly_r_bounds, (-1,), "r=-1 out of range 0..3"),
+        (q_atleast_bounds, (0,), "r=0 out of range 1..3"),
+        (q_exactly_bounds, (0,), "r=0 out of range 1..3 (no p_0 in this layout)"),
+        (q_exactly_bounds, (1, 3), "moment order m=3 not available (have S_1..S_2)"),
+    ],
+)
+def test_moment_range_messages(bound, args, message):
+    # The bound functions and check_moment_request share these messages.
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        bound(MomentVector(3, (0.5, 0.1), 0.5), *args)
+
+
+def test_check_moment_request_raises_what_the_bounds_raise():
+    # Over S_1..S_n, the check must raise each bound's error, or none.
+    moments = MomentVector(4, (1.2, 0.5, 0.1, 0.01), 0.9)
+    calls = {
+        ("union", False): lambda r, m: union_bounds(moments, m),
+        ("atleast", False): lambda r, m: atleast_r_bounds(moments, r, m),
+        ("exactly", False): lambda r, m: exactly_r_bounds(moments, r, m),
+        ("union", True): lambda r, m: q_atleast_bounds(moments, 1, m),
+        ("atleast", True): lambda r, m: q_atleast_bounds(moments, r, m),
+        ("exactly", True): lambda r, m: q_exactly_bounds(moments, r, m),
+    }
+    for (target, with_q), call in calls.items():
+        for r in (None,) if target == "union" else range(-1, 6):
+            for m in range(-1, 6):
+                try:
+                    call(r, m)
+                    expected = None
+                except InfeasibleBoundsError:
+                    expected = None
+                except InputError as error:
+                    expected = str(error)
+                try:
+                    bounding.check_moment_request(target, 4, r, m, with_q)
+                    got = None
+                except InputError as error:
+                    got = str(error)
+                assert got == expected, (target, with_q, r, m)
 
 
 def test_infeasible_moments_raise():

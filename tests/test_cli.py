@@ -397,8 +397,8 @@ def test_help_exits_0(capsys):
     assert run(["bounds", "--help"]) == 0
 
 
-def test_term_budget_exits_with_input_error(capsys, tmp_path):
-    # 2^22 - 1 nonempty tuples: the screened formula keeps every term.
+def _identical_intervals(tmp_path):
+    """22 copies of [0, 1] under the uniform measure on [0, 1]."""
     doc = {
         "dimension": 1,
         "measure": {"type": "uniform", "lower": [0], "upper": [1]},
@@ -406,6 +406,12 @@ def test_term_budget_exits_with_input_error(capsys, tmp_path):
     }
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_term_budget_exits_with_input_error(capsys, tmp_path):
+    # 2^22 - 1 nonempty tuples: the screened formula keeps every term.
+    path = _identical_intervals(tmp_path)
     for argv in (("union",), ("screen", "--format", "json"), ("screen", "--format", "table")):
         code, out, err = _invoke(capsys, argv[0], str(path), *argv[1:])
         assert code == 1
@@ -486,23 +492,47 @@ def test_screen_streams_in_bounded_memory(tmp_path, monkeypatch):
 def test_moment_bounds_walk_only_to_m(capsys, tmp_path):
     # The full walk of 22 identical intervals passes the term budget (see
     # above); the moment bounds without q need only orders 1..m of it.
-    doc = {
-        "dimension": 1,
-        "measure": {"type": "uniform", "lower": [0], "upper": [1]},
-        "boxes": [{"id": f"A{i}", "lower": [0], "upper": [1]} for i in range(22)],
-    }
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps(doc))
+    path = _identical_intervals(tmp_path)
     code, out, _ = _invoke(capsys, "bounds", str(path), "--m", "2", "--format", "json")
     assert code == 0
     result = json.loads(out)
     assert result["lower"] == pytest.approx(1.0) and result["upper"] == pytest.approx(1.0)
     code, out, _ = _invoke(capsys, "bounds", str(path), "--target", "atleast", "--r", "22")
     assert code == 0
-    for argv in (("--with-q",), ("--m", "0"), ("--m", "23")):
-        code, out, err = _invoke(capsys, "bounds", str(path), *argv)
-        assert (code, out) == (1, "")
-        assert "budget" in err
+    code, out, err = _invoke(capsys, "bounds", str(path), "--with-q")
+    assert (code, out) == (1, "")
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--m", "0"), "moment order m=0 not available (have S_1..S_22)"),
+        (("--m", "-1"), "moment order m=-1 not available (have S_1..S_22)"),
+        (("--m", "23"), "moment order m=23 not available (have S_1..S_22)"),
+        (("--m", "30"), "moment order m=30 not available (have S_1..S_22)"),
+        (("--target", "atleast", "--r", "99"), "r=99 out of range 1..22"),
+        (("--target", "exactly", "--r", "23"), "r=23 out of range 0..22"),
+        (("--with-q", "--m", "30"), "moment order m=30 not available (have S_1..S_22)"),
+        (("--with-q", "--target", "atleast", "--r", "99"), "r=99 out of range 1..22"),
+        (
+            ("--with-q", "--target", "exactly", "--r", "0"),
+            "r=0 out of range 1..22 (no p_0 in this layout)",
+        ),
+    ],
+)
+def test_moment_bounds_check_m_and_r_before_the_walk(capsys, tmp_path, monkeypatch, argv, message):
+    # The full walk of these intervals is over the term budget, and the
+    # range errors the bound functions raise come first without any walk.
+    path = _identical_intervals(tmp_path)
+
+    def unreachable(*args):
+        pytest.fail("the walk ran before the range checks")
+
+    monkeypatch.setattr(cli, "binomial_moments", unreachable)
+    monkeypatch.setattr(cli, "enumerate_tuples", unreachable)
+    code, out, err = _invoke(capsys, "bounds", str(path), *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("m", [None, "1", "2"])

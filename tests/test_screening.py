@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations
 from math import comb, fsum, inf
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
 from boxbounds.errors import InputError
-from boxbounds.geometry import Box, EmptinessMode, meet_vertices, vertex_pair_nonempty
+from boxbounds import screening
+from boxbounds.geometry import (
+    Box,
+    EmptinessMode,
+    is_nonempty,
+    meet_vertices,
+    vertex_pair_nonempty,
+)
 from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from boxbounds.oracle import full_inclusion_exclusion_union
 from boxbounds.screening import (
@@ -455,6 +463,57 @@ def test_walk_memory_stays_within_the_mask_budget():
     assert uncapped_peak < 64 * 2**20
     assert len(pairs.levels[2].indices) == 179_700
     assert capped_peak < 32 * 2**20
+
+
+def test_pair_mask_on_every_interval_of_a_grid():
+    # Every [a, b] over signed zeros, infinities, touching ends and zero
+    # widths: the per-box verdicts and the pair mask against the meets.
+    grid = [-inf, -1.0, -0.0, 0.0, 1.0, 2.0, inf]
+    boxes = [Box(f"I{i}", (a,), (b,)) for i, (a, b) in enumerate(combinations(grid, 2))]
+    boxes += [Box(f"P{i}", (a,), (a,)) for i, a in enumerate(grid)]
+    lowers, uppers = screening._vertex_arrays(boxes)
+    for mode in EmptinessMode:
+        passes, later = screening._pair_mask(lowers, uppers, mode)
+        assert passes.tolist() == [is_nonempty(box, mode) for box in boxes]
+        expected = np.zeros_like(later)
+        for i, j in combinations(range(len(boxes)), 2):
+            expected[i, j] = vertex_pair_nonempty(*meet_vertices([boxes[i], boxes[j]]), mode)
+        assert (later == expected).all()
+
+
+def _streamed_screen_boxes():
+    """The 2,000 sparse 2-d boxes the CI streamed-screen step draws."""
+    rng = random.Random(2000)
+    boxes = []
+    for i in range(2000):
+        lower = [rng.uniform(0.0, 990.0) for _ in range(2)]
+        upper = [x + rng.uniform(1.0, 10.0) for x in lower]
+        boxes.append(Box(f"A{i}", lower, upper))
+    return boxes
+
+
+def test_pair_pass_memory_on_sparse_boxes():
+    # Before the per-axis pass, enumerate_tuples peaked at 8.94 MiB here,
+    # set by the walk's (R, N) candidate gather next to the mask, and
+    # build_graph at N² bytes.  The pass adds one reused (N, N) buffer, so
+    # the walk's peak stays and build_graph's is 2N² bytes; a pass that
+    # allocated a fresh (N, N) array per axis would take about 3N².
+    boxes = _streamed_screen_boxes()
+    n = len(boxes)
+    measure = ProductMeasure((UniformInterval(0.0, 1000.0),) * 2)
+    peaks = {}
+    for name, call in (
+        ("walk", lambda: enumerate_tuples(boxes, STRICT, n, measure)),
+        ("graph", lambda: build_graph(boxes, STRICT)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["walk"] <= 1.1 * 8.94 * 2**20
+    assert peaks["graph"] <= 2 * n * n + 2**20
 
 
 def test_ledger_holds_only_its_columns():
