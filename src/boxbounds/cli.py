@@ -550,7 +550,7 @@ def _cmd_bounds(args):
         if problem is not None:  # before a walk that may be long or over budget
             check_moment_request(target, n, r, m, args.with_q)
         if problem is not None and args.with_q:  # q needs the full walk
-            moments = binomial_moments(problem.boxes, problem.measure, mode, n)
+            moments = binomial_moments(problem.boxes, problem.measure, mode, m)
         elif problem is not None:
             ledger = enumerate_tuples(problem.boxes, mode, m, problem.measure)
             moments = MomentVector(n, tuple(ledger.order_sum(k) for k in range(1, m + 1)))
