@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from boxbounds import screening
 from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
 from boxbounds.errors import InputError
-from boxbounds import screening
 from boxbounds.geometry import (
     Box,
     EmptinessMode,
@@ -493,8 +493,8 @@ def _streamed_screen_boxes():
 
 
 def test_pair_pass_memory_on_sparse_boxes():
-    # Before the per-axis pass, enumerate_tuples peaked at 8.94 MiB here,
-    # set by the walk's (R, N) candidate gather next to the mask, and
+    # Before the per-axis pass, enumerate_tuples peaked at 8.94 MiB here
+    # (Python 3.11, numpy 2.4), set by the walk's (R, N) candidate gather next to the mask, and
     # build_graph at N² bytes.  The pass adds one reused (N, N) buffer, so
     # the walk's peak stays and build_graph's is 2N² bytes; a pass that
     # allocated a fresh (N, N) array per axis would take about 3N².
