@@ -14,7 +14,12 @@ grid cells.  ``tests/golden/piecewise-d3.json`` holds
 eight hand-made 3-d boxes under a different piecewise marginal per axis,
 one with a flat segment, with coordinates on knots, outside the support,
 ±0.0 and ±inf; the ledger's subcommands, the atom LP and the cell oracle
-run on it.  The recorded outputs live in
+run on it.  The Monte Carlo oracle also runs at 60,000 samples on
+``piecewise-d3.json``, on ``dense-n44-d2.json`` and on
+``tests/golden/sparse-n150-d2.json``: 150 boxes in [0, 100]^2 under the
+uniform measure, drawn with ``random.Random(150)``, per box and axis a side
+``uniform(2.5, 7.5)`` then a start ``uniform(0, 100 - side)``, both ends
+rounded to four decimals.  The recorded outputs live in
 ``tests/golden/cli_stdout.json``; regenerate them only for an intended
 output change, with
 
@@ -88,6 +93,10 @@ PIECEWISE_COMMANDS = (
     ("bounds", "--method", "boolean", "--m", "3"),
 )
 
+# Files of 8, 44 and 150 boxes, the last enough that Monte Carlo sorts.
+MC_FILES = (PIECEWISE, "tests/golden/dense-n44-d2.json", "tests/golden/sparse-n150-d2.json")
+MC_COMMAND = ("--engine", "mc", "--samples", "60000", "--seed", "1")
+
 
 def moment_commands(m, r):
     """Every bounds target, with and without --with-q, at two moment orders."""
@@ -126,6 +135,9 @@ def cases():
             for mode in MODES:
                 out.append([command, PIECEWISE, *rest, "--mode", mode, "--format", fmt])
         out.append(["oracle", PIECEWISE, "--engine", "cells", "--format", fmt])
+    for path in MC_FILES:
+        for fmt in FORMATS:
+            out.append(["oracle", path, *MC_COMMAND, "--format", fmt])
     for name, m, r in MOMENTS:
         path = f"tests/golden/{name}.json"
         for fmt in FORMATS:
