@@ -30,6 +30,11 @@ CELL_MAX_DIM = 3
 # its second comparison another.
 CELL_TEST_BUDGET = 10**8
 _MC_CHUNK = 1 << 19
+# Boxes from which Monte Carlo sorts each chunk on its first axis and tests
+# each box only on its slab there.  At 60,000 samples the sort cost 1.25 to
+# 1.9 times the plain loop at N <= 32, was about even at N = 64 (0.87 to
+# 1.07) and won at N = 128 (0.43 to 0.88).
+_MC_SWEEP_BOXES = 64
 # Point-in-box tests (samples times boxes) a Monte Carlo run may make.
 # In two dimensions a test takes about 2.7 ns with 150 boxes and 12 ns
 # with 5, where sampling dominates, so a run at the budget takes seconds.
@@ -174,10 +179,16 @@ def monte_carlo_union(
     Points come from per-coordinate inverse transform over a PCG64 stream
     (numpy default_rng), so a fixed seed reproduces the estimate exactly
     across platforms.  standard_error is sqrt(est (1 - est) / samples).
-    Points are tested box by box into one hit mask per chunk, so working
-    memory is O(chunk * d) whatever the number of boxes.  Raises
-    InputError before any sampling for a negative seed or when samples
-    times boxes exceed MC_TEST_BUDGET.
+    Points are tested box by box into one hit mask per chunk.  From
+    _MC_SWEEP_BOXES boxes on, each chunk is sorted once on axis 0 (one
+    argsort, one gather into contiguous columns), and each box tests axes
+    1..d-1 only on its window of the chunk, the points with
+    lower[0] <= x[0] <= upper[0], cut by two searchsorted calls; below
+    it every window is the whole chunk and every axis is tested.  The hit
+    count does not depend on the order of the points, so both give the
+    same hits.  Working memory is O(chunk * d) whatever the number of
+    boxes.  Raises InputError before any sampling for a negative seed or
+    when samples times boxes exceed MC_TEST_BUDGET.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -191,21 +202,35 @@ def monte_carlo_union(
         )
     if not boxes:
         return MonteCarloResult(0.0, 0.0)
+    sweep = len(boxes) >= _MC_SWEEP_BOXES
+    first_lower = np.array([box.lower[0] for box in boxes])
+    first_upper = np.array([box.upper[0] for box in boxes])
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
     while remaining:
         size = min(remaining, _MC_CHUNK)
-        columns = np.ascontiguousarray(measure.sample(rng, size).T)
+        points = measure.sample(rng, size)
+        if sweep:
+            columns = points.take(np.argsort(points[:, 0]), axis=0).T.copy()
+            starts = columns[0].searchsorted(first_lower, "left").tolist()
+            stops = columns[0].searchsorted(first_upper, "right").tolist()
+        else:
+            columns = np.ascontiguousarray(points.T)
+            starts, stops = [0] * len(boxes), [size] * len(boxes)
+        del points
+        axes = int(sweep)
         hit = np.zeros(size, dtype=bool)
         inside = np.empty(size, dtype=bool)
         scratch = np.empty(size, dtype=bool)
-        for box in boxes:
-            inside.fill(True)
-            for column, lo, hi in zip(columns, box.lower, box.upper):
-                inside &= np.greater_equal(column, lo, out=scratch)
-                inside &= np.less_equal(column, hi, out=scratch)
-            hit |= inside
+        for box, start, stop in zip(boxes, starts, stops):
+            window = inside[start:stop]
+            out = scratch[start:stop]
+            window.fill(True)
+            for column, lo, hi in zip(columns[axes:], box.lower[axes:], box.upper[axes:]):
+                window &= np.greater_equal(column[start:stop], lo, out=out)
+                window &= np.less_equal(column[start:stop], hi, out=out)
+            hit[start:stop] |= window
         hits += int(hit.sum())
         remaining -= size
     estimate = hits / samples

@@ -295,7 +295,7 @@ def broadcast_monte_carlo(boxes, measure, samples, seed):
 
 
 @pytest.mark.parametrize("samples", [_MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 7])
-def test_monte_carlo_matches_broadcast_reference(ex2, samples):
+def test_monte_carlo_matches_broadcast_reference(ex2, samples, monkeypatch):
     rng = np.random.default_rng(211)
     piecewise = PiecewiseCdf((0.0, 2.0, 3.0, 6.0), (0.0, 0.2, 0.7, 1.0))
     grid_boxes, _ = random_instance(rng, max_events=8, min_events=6, max_dim=2)
@@ -304,7 +304,106 @@ def test_monte_carlo_matches_broadcast_reference(ex2, samples):
         (grid_boxes, ProductMeasure((piecewise,) * grid_boxes[0].dimension)),
     ]
     for seed, (boxes, measure) in enumerate(cases):
-        result = monte_carlo_union(boxes, measure, samples, seed)
         estimate, standard_error = broadcast_monte_carlo(boxes, measure, samples, seed)
-        assert result.estimate == estimate
-        assert result.standard_error == standard_error
+        # Every box sorts the chunk, then none does.
+        for sweep_boxes in (1, len(boxes) + 1):
+            monkeypatch.setattr(oracle, "_MC_SWEEP_BOXES", sweep_boxes)
+            result = monte_carlo_union(boxes, measure, samples, seed)
+            assert result.estimate == estimate
+            assert result.standard_error == standard_error
+
+
+FLAT_PIECEWISE = PiecewiseCdf((-2.0, -0.5, 0.0, 1.0, 3.0), (0.0, 0.25, 0.25, 0.6, 1.0))
+
+
+def sweep_measures(dim):
+    """Uniform marginals on [-1, 1] and a piecewise one with a flat segment."""
+    return (
+        ProductMeasure.uniform((-1.0,) * dim, (1.0,) * dim),
+        ProductMeasure((FLAT_PIECEWISE,) * dim),
+    )
+
+
+def assert_matches_reference_on_both_sides(boxes, measure, samples, seed, monkeypatch):
+    """The default, a sort for every box and no sort at all give the
+    broadcast reference's estimate and standard error."""
+    expected = broadcast_monte_carlo(boxes, measure, samples, seed)
+    assert monte_carlo_union(boxes, measure, samples, seed) == expected
+    for sweep_boxes in (1, len(boxes) + 1):
+        monkeypatch.setattr(oracle, "_MC_SWEEP_BOXES", sweep_boxes)
+        assert monte_carlo_union(boxes, measure, samples, seed) == expected
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_monte_carlo_on_many_small_boxes_matches_broadcast_reference(dim, monkeypatch):
+    rng = np.random.default_rng(300 + dim)
+    lower = rng.uniform(-1.5, 1.2, size=(120, dim))
+    upper = lower + rng.uniform(0.02, 0.3, size=(120, dim))
+    boxes = [Box(f"A{i + 1}", lo, hi) for i, (lo, hi) in enumerate(zip(lower, upper))]
+    assert len(boxes) >= oracle._MC_SWEEP_BOXES
+    for measure in sweep_measures(dim):
+        for samples in (1, 999, 20_000):
+            assert_matches_reference_on_both_sides(boxes, measure, samples, 5, monkeypatch)
+
+
+def face_boxes(points, rng, n_boxes):
+    """Small boxes around sampled points with every face on a coordinate of
+    the same points, a few of them zero-width on a point, with a face at
+    -inf or +inf, or with a face at -0.0 or 0.0."""
+    size, dim = points.shape
+    axes = np.arange(dim)
+    coordinates = np.sort(points, axis=0)
+    ranks = np.argsort(np.argsort(points, axis=0), axis=0)
+    boxes = []
+    for i in range(n_boxes):
+        point = int(rng.integers(size))
+        below = np.maximum(ranks[point] - rng.integers(0, 20, dim), 0)
+        above = np.minimum(ranks[point] + rng.integers(0, 20, dim), size - 1)
+        lower, upper = coordinates[below, axes], coordinates[above, axes]
+        k = int(rng.integers(dim))
+        if i % 5 == 0:
+            lower = upper = points[point]
+        elif i % 5 == 1:
+            lower[k] = -inf
+        elif i % 5 == 2:
+            upper[k] = inf
+        elif i % 5 == 3:
+            zero = (-0.0, 0.0)[int(rng.integers(2))]
+            if upper[k] >= 0.0:
+                lower[k] = zero
+            else:
+                upper[k] = zero
+        boxes.append(Box(f"A{i + 1}", lower, upper))
+    return boxes
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_monte_carlo_with_faces_on_sampled_points_matches_broadcast_reference(
+    dim, monkeypatch
+):
+    # The oracle draws its first chunk from the same stream, so these faces
+    # sit exactly on the coordinates of points it tests.
+    rng = np.random.default_rng(700 + dim)
+    samples = 2_000
+    for seed, measure in enumerate(sweep_measures(dim)):
+        points = measure.sample(np.random.default_rng(seed), samples)
+        boxes = face_boxes(points, rng, 100)
+        assert_matches_reference_on_both_sides(boxes, measure, samples, seed, monkeypatch)
+
+
+def test_monte_carlo_sweep_memory():
+    # Sampling sets the peak: 36.0 MiB at _MC_CHUNK samples in 3-d, as
+    # before the chunk was sorted.
+    rng = np.random.default_rng(5)
+    lower = rng.uniform(0.0, 0.9, size=(100, 3))
+    boxes = [Box(f"A{i + 1}", lo, lo + 0.05) for i, lo in enumerate(lower)]
+    assert len(boxes) >= oracle._MC_SWEEP_BOXES
+    measure = ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3)
+    tracemalloc.start()
+    try:
+        monte_carlo_union(boxes, measure, _MC_CHUNK, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 36.0 * 2**20
