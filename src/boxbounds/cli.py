@@ -475,6 +475,8 @@ def _cmd_screen(args):
     boxes = problem.boxes
     n = len(boxes)
     max_order = n if args.max_order is None else args.max_order
+    if max_order < 0:
+        raise InputError(f"--max-order {max_order} is below 0")
     pairs = n * (n - 1) // 2 if max_order >= 2 else 0
     _check_screen_rows(pairs)  # before the walk builds its (N, N) pair mask
     ledger = enumerate_tuples(boxes, mode, n)
@@ -579,6 +581,8 @@ def _cmd_bounds(args):
             raise InputError("--method hunter-worsley bounds the union only")
         if args.with_q:
             raise InputError("--with-q does not apply to the hunter-worsley method")
+        if args.m is not None:
+            raise InputError("--m does not apply to the hunter-worsley method")
         ledger = enumerate_tuples(problem.boxes, mode, 2, problem.measure)
         upper = hunter_worsley_upper(ledger.order_sum(1), ledger.probabilities(2), n)
         return [

@@ -110,6 +110,30 @@ def test_moments_m_below_1_exits_1(capsys, fixtures_dir, tmp_path):
     assert json.loads(out)["s"] == []
 
 
+def test_screen_max_order_below_0_exits_1_before_the_walk(capsys, fixtures_dir, monkeypatch):
+    def unreachable(*args):
+        pytest.fail("the walk started with a negative --max-order")
+
+    monkeypatch.setattr(cli, "enumerate_tuples", unreachable)
+    path = str(fixtures_dir / "example1.json")
+    for order in ("-1", "-7"):
+        for fmt in ("table", "json"):
+            code, out, err = _invoke(capsys, "screen", path, "--max-order", order, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == f"error: --max-order {order} is below 0\n"
+
+
+def test_hunter_worsley_rejects_m(capsys, fixtures_dir):
+    path = str(fixtures_dir / "example1.json")
+    for m in ("0", "3", "5"):
+        for fmt in ("table", "json"):
+            code, out, err = _invoke(
+                capsys, "bounds", path, "--method", "hunter-worsley", "--m", m, "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: --m does not apply to the hunter-worsley method\n"
+
+
 def _exact_digits(n: int) -> str:
     """The decimal digits of n, from chunks that each stay under the digit limit."""
     chunks = []
