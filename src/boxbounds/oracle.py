@@ -203,22 +203,19 @@ def monte_carlo_union(
     if not boxes:
         return MonteCarloResult(0.0, 0.0)
     sweep = len(boxes) >= _MC_SWEEP_BOXES
-    first_lower = np.array([box.lower[0] for box in boxes])
-    first_upper = np.array([box.upper[0] for box in boxes])
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
     while remaining:
         size = min(remaining, _MC_CHUNK)
-        points = measure.sample(rng, size)
+        columns = np.ascontiguousarray(measure.sample(rng, size).T)
         if sweep:
-            columns = points.take(np.argsort(points[:, 0]), axis=0).T.copy()
-            starts = columns[0].searchsorted(first_lower, "left").tolist()
-            stops = columns[0].searchsorted(first_upper, "right").tolist()
+            columns = columns.take(np.argsort(columns[0]), axis=1)
+            first = columns[0]
+            starts = first.searchsorted([box.lower[0] for box in boxes], "left").tolist()
+            stops = first.searchsorted([box.upper[0] for box in boxes], "right").tolist()
         else:
-            columns = np.ascontiguousarray(points.T)
             starts, stops = [0] * len(boxes), [size] * len(boxes)
-        del points
         axes = int(sweep)
         hit = np.zeros(size, dtype=bool)
         inside = np.empty(size, dtype=bool)
