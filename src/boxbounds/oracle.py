@@ -31,13 +31,16 @@ CELL_MAX_DIM = 3
 CELL_TEST_BUDGET = 10**8
 _MC_CHUNK = 1 << 19
 # Boxes from which Monte Carlo sorts each chunk on its first axis and tests
-# each box only on its slab there.  At 60,000 samples the sort cost 1.25 to
-# 1.9 times the plain loop at N <= 32, was about even at N = 64 (0.87 to
-# 1.07) and won at N = 128 (0.43 to 0.88).
+# each box only on its slab there.  At 60,000 samples on boxes of which
+# about 1 % of pairs overlap, in 2-d and 3-d on a 2-core Xeon, a sorted
+# call took 1.5 to 1.8 times the plain loop's time at N = 8, 0.8 to 1.2 at
+# N = 32 and 48 (even near 40), 0.72 to 0.81 at N = 64 and 0.45 to 0.54 at
+# N = 128 and 150.
 _MC_SWEEP_BOXES = 64
 # Point-in-box tests (samples times boxes) a Monte Carlo run may make.
-# In two dimensions a test takes about 2.7 ns with 150 boxes and 12 ns
-# with 5, where sampling dominates, so a run at the budget takes seconds.
+# In two dimensions a test takes about 0.6 ns with 150 boxes (2.1 ns with
+# no sort) and 7 ns with 5, where sampling dominates, so a run at the
+# budget takes at most seconds.
 MC_TEST_BUDGET = 10**9
 
 
@@ -216,7 +219,7 @@ def monte_carlo_union(
             stops = first.searchsorted([box.upper[0] for box in boxes], "right").tolist()
         else:
             starts, stops = [0] * len(boxes), [size] * len(boxes)
-        axes = int(sweep)
+        skip = 1 if sweep else 0  # sorted windows already bound axis 0
         hit = np.zeros(size, dtype=bool)
         inside = np.empty(size, dtype=bool)
         scratch = np.empty(size, dtype=bool)
@@ -224,7 +227,7 @@ def monte_carlo_union(
             window = inside[start:stop]
             out = scratch[start:stop]
             window.fill(True)
-            for column, lo, hi in zip(columns[axes:], box.lower[axes:], box.upper[axes:]):
+            for column, lo, hi in zip(columns[skip:], box.lower[skip:], box.upper[skip:]):
                 window &= np.greater_equal(column[start:stop], lo, out=out)
                 window &= np.less_equal(column[start:stop], hi, out=out)
             hit[start:stop] |= window
