@@ -34,8 +34,8 @@ _MC_CHUNK = 1 << 19
 # each box only on its slab there.  At 60,000 samples on boxes of which
 # about 1 % of pairs overlap, in 2-d and 3-d on a 2-core Xeon, a sorted
 # call took 1.5 to 1.8 times the plain loop's time at N = 8, 0.8 to 1.2 at
-# N = 32 and 48 (even near 40), 0.72 to 0.81 at N = 64 and 0.45 to 0.54 at
-# N = 128 and 150.
+# N = 32 and 48, 0.72 to 0.81 at N = 64 and 0.45 to 0.54 at N = 128 and
+# 150, so inputs near the break-even stay on the plain loop.
 _MC_SWEEP_BOXES = 64
 # Point-in-box tests (samples times boxes) a Monte Carlo run may make.
 # In two dimensions a test takes about 0.6 ns with 150 boxes (2.1 ns with
@@ -206,6 +206,7 @@ def monte_carlo_union(
     if not boxes:
         return MonteCarloResult(0.0, 0.0)
     sweep = len(boxes) >= _MC_SWEEP_BOXES
+    skip = 1 if sweep else 0  # sorted windows already bound axis 0
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
@@ -219,7 +220,6 @@ def monte_carlo_union(
             stops = first.searchsorted([box.upper[0] for box in boxes], "right").tolist()
         else:
             starts, stops = [0] * len(boxes), [size] * len(boxes)
-        skip = 1 if sweep else 0  # sorted windows already bound axis 0
         hit = np.zeros(size, dtype=bool)
         inside = np.empty(size, dtype=bool)
         scratch = np.empty(size, dtype=bool)
