@@ -7,6 +7,8 @@ import numpy as np
 
 from boxbounds import bounding
 from boxbounds.bounding import PIVOT_TOL, LpResult
+from boxbounds.cli import GeometryProblem, _parse_measure, _parse_mode
+from boxbounds.errors import InputError
 from boxbounds.geometry import Box, meet_vertices, vertex_pair_nonempty
 from boxbounds.measure import ProductMeasure
 from boxbounds.screening import MomentVector
@@ -282,3 +284,58 @@ def all_atom_lp_bounds(system, target, r=None):
     own = np.concatenate([[0], masks[:, 0]])
     label = f"boolean(m={system.m})"
     return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, label, crash=own)
+
+
+def _reference_number(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} is outside the float range") from exc
+
+
+def _reference_vector(value, length, what):
+    if not isinstance(value, list) or len(value) != length:
+        raise InputError(f"{what} must be a list of {length} numbers")
+    return tuple(_reference_number(v, what) for v in value)
+
+
+def reference_parse_geometry(doc):
+    """parse_geometry as a per-box loop: each box's checks run in file order.
+
+    The test oracle for the bulk parser's results and messages.  Per box
+    it checks the object, its id, the id's repeat, each vertex's list and
+    length and then each coordinate, lower before upper, and last the
+    order lower <= upper, which NaN fails; the first failing check raises.
+    """
+    if not isinstance(doc, dict):
+        raise InputError("problem file must be a JSON object")
+    dimension = doc.get("dimension")
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+        raise InputError("'dimension' must be a positive integer")
+    measure = _parse_measure(doc.get("measure"), dimension)
+    raw_boxes = doc.get("boxes")
+    if not isinstance(raw_boxes, list):
+        raise InputError("'boxes' must be a list")
+    boxes = []
+    seen_ids = set()
+    for i, raw in enumerate(raw_boxes):
+        if not isinstance(raw, dict):
+            raise InputError(f"box {i}: expected an object")
+        box_id = raw.get("id")
+        if not isinstance(box_id, str) or not box_id:
+            raise InputError(f"box {i}: 'id' must be a nonempty string")
+        if box_id in seen_ids:
+            raise InputError(f"duplicate box id {box_id!r}")
+        seen_ids.add(box_id)
+        lower = _reference_vector(raw.get("lower"), dimension, f"box {box_id!r} lower")
+        upper = _reference_vector(raw.get("upper"), dimension, f"box {box_id!r} upper")
+        for k, (lo, hi) in enumerate(zip(lower, upper)):
+            if not lo <= hi:
+                raise InputError(
+                    f"box {box_id!r}: lower {lo!r} exceeds upper {hi!r} in coordinate {k}"
+                )
+        boxes.append(Box(box_id, lower, upper))
+    mode = _parse_mode(doc["mode"]) if "mode" in doc else None
+    return GeometryProblem(boxes, measure, mode)
