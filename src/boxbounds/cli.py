@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
 
@@ -33,7 +33,7 @@ from .bounding import (
     union_bounds,
 )
 from .errors import InfeasibleBoundsError, InputError
-from .geometry import Box, EmptinessMode
+from .geometry import Box, EmptinessMode, boxes_from_vertices
 from .measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from .oracle import (
     exact_count_distribution,
@@ -73,9 +73,13 @@ def _number(value, what: str) -> float:
         raise InputError(f"{what} is outside the float range") from exc
 
 
+def _not_a_vector(length: int, what: str) -> InputError:
+    return InputError(f"{what} must be a list of {length} numbers")
+
+
 def _vector(value, length: int, what: str) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise InputError(f"{what} must be a list of {length} numbers")
+        raise _not_a_vector(length, what)
     return tuple(_number(v, what) for v in value)
 
 
@@ -126,6 +130,61 @@ def _parse_mode(value) -> EmptinessMode:
     raise InputError(f"unknown mode {value!r} (choices: {choices})")
 
 
+def _box_structure(raw_boxes: list, dimension: int):
+    """Ids and vertex lists of the boxes, up to the first structural fault.
+
+    Checks each box's object, id, id repeat, and its lower and upper
+    vertex as lists of ``dimension`` values, but not the values.  Returns
+    the ids, the vertex lists (lower and upper of each box in turn) and
+    the first fault's error, or None; the pass stops at that fault.
+    """
+    ids, sides, seen = [], [], set()
+    for i, raw in enumerate(raw_boxes):
+        if not isinstance(raw, dict):
+            return ids, sides, InputError(f"box {i}: expected an object")
+        box_id = raw.get("id")
+        if not isinstance(box_id, str) or not box_id:
+            return ids, sides, InputError(f"box {i}: 'id' must be a nonempty string")
+        if box_id in seen:
+            return ids, sides, InputError(f"duplicate box id {box_id!r}")
+        seen.add(box_id)
+        ids.append(box_id)
+        lower = raw.get("lower")
+        if not isinstance(lower, list) or len(lower) != dimension:
+            return ids, sides, _not_a_vector(dimension, f"box {box_id!r} lower")
+        sides.append(lower)
+        upper = raw.get("upper")
+        if not isinstance(upper, list) or len(upper) != dimension:
+            return ids, sides, _not_a_vector(dimension, f"box {box_id!r} upper")
+        sides.append(upper)
+    return ids, sides, None
+
+
+def _coordinates(ids: list, sides: list, dimension: int):
+    """The vertex lists as one ``(sides, dimension)`` float array.
+
+    When every value is a plain int or float, one conversion makes the
+    array.  Otherwise, or past the float range, each value goes through
+    _number; the array then stops before the first list with a bad value,
+    whose error comes back with it (None when there is none).
+    """
+    if set(map(type, chain.from_iterable(sides))) <= {int, float}:
+        try:
+            values = np.fromiter(chain.from_iterable(sides), float, len(sides) * dimension)
+            return values.reshape(-1, dimension), None
+        except OverflowError:  # an integer past the float range
+            pass
+    checked, fault = [], None
+    for s, side in enumerate(sides):
+        what = f"box {ids[s // 2]!r} {'upper' if s % 2 else 'lower'}"
+        try:
+            checked.append([_number(v, what) for v in side])
+        except InputError as exc:
+            fault = exc
+            break
+    return np.array(checked, dtype=float).reshape(-1, dimension), fault
+
+
 def parse_geometry(doc) -> GeometryProblem:
     if not isinstance(doc, dict):
         raise InputError("problem file must be a JSON object")
@@ -136,24 +195,21 @@ def parse_geometry(doc) -> GeometryProblem:
     raw_boxes = doc.get("boxes")
     if not isinstance(raw_boxes, list):
         raise InputError("'boxes' must be a list")
-    boxes = []
-    seen_ids = set()
-    for i, raw in enumerate(raw_boxes):
-        if not isinstance(raw, dict):
-            raise InputError(f"box {i}: expected an object")
-        box_id = raw.get("id")
-        if not isinstance(box_id, str) or not box_id:
-            raise InputError(f"box {i}: 'id' must be a nonempty string")
-        if box_id in seen_ids:
-            raise InputError(f"duplicate box id {box_id!r}")
-        seen_ids.add(box_id)
-        boxes.append(
-            Box(
-                box_id,
-                _vector(raw.get("lower"), dimension, f"box {box_id!r} lower"),
-                _vector(raw.get("upper"), dimension, f"box {box_id!r} upper"),
-            )
-        )
+    # The first failing check in file order is reported.  A box is checked
+    # as an object, for its id and the id's repeat, for each vertex's list
+    # and then its values, lower before upper, and last for its order.
+    # Values are read only up to the first structural fault, and order only
+    # on the boxes before the first bad value; so an order fault comes
+    # before any bad value, and a bad value before the structural fault.
+    ids, sides, structure_fault = _box_structure(raw_boxes, dimension)
+    coordinates, value_fault = _coordinates(ids, sides, dimension)
+    complete = len(coordinates) // 2
+    boxes = boxes_from_vertices(
+        ids[:complete], coordinates[: 2 * complete].reshape(complete, 2, dimension)
+    )
+    fault = value_fault or structure_fault
+    if fault is not None:
+        raise fault
     mode = _parse_mode(doc["mode"]) if "mode" in doc else None
     return GeometryProblem(boxes, measure, mode)
 

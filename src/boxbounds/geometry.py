@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -35,8 +38,8 @@ class Box:
     upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lower = tuple(float(v) for v in self.lower)
-        upper = tuple(float(v) for v in self.upper)
+        lower = tuple(map(float, self.lower))
+        upper = tuple(map(float, self.upper))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if len(lower) != len(upper):
@@ -46,16 +49,51 @@ class Box:
             )
         if not lower:
             raise InputError(f"box {self.id!r}: needs at least one coordinate")
-        for k, (lo, hi) in enumerate(zip(lower, upper)):
-            if not lo <= hi:  # also rejects NaN
-                raise InputError(
-                    f"box {self.id!r}: lower {lo!r} exceeds upper {hi!r} "
-                    f"in coordinate {k}"
-                )
+        if not all(map(le, lower, upper)):  # also rejects NaN
+            raise _order_error(self.id, lower, upper)
 
     @property
     def dimension(self) -> int:
         return len(self.lower)
+
+
+def _order_error(box_id: str, lower: Sequence[float], upper: Sequence[float]) -> InputError:
+    """The error for a box whose lower vertex is not <= its upper one."""
+    k = next(k for k, (lo, hi) in enumerate(zip(lower, upper)) if not lo <= hi)
+    return InputError(
+        f"box {box_id!r}: lower {lower[k]!r} exceeds upper {upper[k]!r} in coordinate {k}"
+    )
+
+
+def boxes_from_vertices(ids: Sequence[str], vertices: np.ndarray) -> list[Box]:
+    """Boxes from their ids and an ``(N, 2, d)`` float array of vertices.
+
+    Row i holds box i's lower vertex and then its upper one.  One array
+    comparison checks every box's order, with Box's message for the first
+    box that fails it, so the boxes are made without running __post_init__
+    one by one.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 3 or vertices.shape[:2] != (len(ids), 2):
+        raise InputError(
+            f"vertex array of shape {vertices.shape} does not hold {len(ids)} vertex pairs"
+        )
+    if len(ids) and not vertices.shape[2]:
+        raise InputError(f"box {ids[0]!r}: needs at least one coordinate")
+    lowers, uppers = vertices[:, 0].tolist(), vertices[:, 1].tolist()
+    ordered = (vertices[:, 0] <= vertices[:, 1]).all(axis=1)  # NaN fails
+    if not ordered.all():
+        i = int(ordered.argmin())
+        raise _order_error(ids[i], lowers[i], uppers[i])
+    boxes = []
+    for box_id, lower, upper in zip(ids, map(tuple, lowers), map(tuple, uppers)):
+        box = object.__new__(Box)
+        fields = box.__dict__  # a frozen dataclass keeps its fields here
+        fields["id"] = box_id
+        fields["lower"] = lower
+        fields["upper"] = upper
+        boxes.append(box)
+    return boxes
 
 
 def require_same_dimension(boxes: Sequence[Box]) -> int:

@@ -214,10 +214,14 @@ class ProductMeasure:
         return self.rect_probability(box.lower, box.upper)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size-by-n array of points drawn by per-coordinate inverse transform."""
+        """size-by-n array of points drawn by per-coordinate inverse transform.
+
+        Marginal k's quantiles of column k of the uniform draw fill row k of
+        one ``(n, size)`` array, and its transpose is returned: a view whose
+        columns are contiguous, so ``.T`` gives rows without a copy.
+        """
         u = rng.random((size, self.dimension))
-        cols = [
-            np.asarray(marginal.ppf(u[:, k]), dtype=float)
-            for k, marginal in enumerate(self.marginals)
-        ]
-        return np.column_stack(cols)
+        points = np.empty((self.dimension, size))
+        for k, marginal in enumerate(self.marginals):
+            points[k] = marginal.ppf(u[:, k])
+        return points.T

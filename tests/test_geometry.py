@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from boxbounds.errors import InputError
 from boxbounds.geometry import (
     Box,
     EmptinessMode,
+    boxes_from_vertices,
     intersect,
     is_nonempty,
     meet_vertices,
@@ -114,15 +116,51 @@ def test_is_nonempty_none_is_false():
     assert is_nonempty(None, STRICT) is False
 
 
-def test_box_validation():
-    with pytest.raises(InputError):
-        Box("bad", (1, 2), (3,))
-    with pytest.raises(InputError):
-        Box("bad", (), ())
-    with pytest.raises(InputError):
-        Box("bad", (5,), (4,))
-    with pytest.raises(InputError):
-        Box("bad", (float("nan"),), (1.0,))
+BOX_FAULTS = [
+    (("bad", (1, 2), (3,)), "box 'bad': lower has 2 coordinates, upper has 1"),
+    (("bad", (), ()), "box 'bad': needs at least one coordinate"),
+    (("bad", (5,), (4,)), "box 'bad': lower 5.0 exceeds upper 4.0 in coordinate 0"),
+    (("bad", (float("nan"),), (1.0,)), "box 'bad': lower nan exceeds upper 1.0 in coordinate 0"),
+    (("bad", (0, 2, -0.0), (1, 3, -1)), "box 'bad': lower -0.0 exceeds upper -1.0 in coordinate 2"),
+    (("bad", (0, 0), (1, float("nan"))), "box 'bad': lower 0.0 exceeds upper nan in coordinate 1"),
+]
+
+
+@pytest.mark.parametrize("args, message", BOX_FAULTS)
+def test_box_validation(args, message):
+    with pytest.raises(InputError) as exc:
+        Box(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args, message", [f for f in BOX_FAULTS if len(f[0][1]) == len(f[0][2])])
+def test_boxes_from_vertices_validation(args, message):
+    box_id, lower, upper = args
+    dim = len(lower)
+    vertices = np.array([[(0.0,) * dim] * 2, [lower, upper]], dtype=float).reshape(2, 2, dim)
+    ids = ["good", box_id] if dim else [box_id, "good"]
+    with pytest.raises(InputError) as exc:
+        boxes_from_vertices(ids, vertices)
+    assert str(exc.value) == message
+
+
+def test_boxes_from_vertices_matches_box():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        corners = np.sort(rng.uniform(-5.0, 5.0, size=(20, 2, dim)), axis=1)
+        corners[::4, :, 0] = (-0.0, 0.0)
+        corners[1::4, 1, -1] = np.inf
+        ids = [f"A{i}" for i in range(20)]
+        boxes = boxes_from_vertices(ids, corners)
+        assert boxes == [Box(i, tuple(lo), tuple(hi)) for i, (lo, hi) in zip(ids, corners)]
+        for box in boxes:
+            assert {type(v) for v in box.lower + box.upper} == {float}
+            assert np.array(box.lower).view(np.int64).tolist() == (
+                np.array(corners[int(box.id[1:]), 0]).view(np.int64).tolist()
+            )
+    assert boxes_from_vertices([], np.empty((0, 2, 3))) == []
+    with pytest.raises(InputError, match=r"vertex array of shape \(2, 2, 1\) does not hold 1"):
+        boxes_from_vertices(["A"], np.zeros((2, 2, 1)))
 
 
 def test_meet_vertices_validation():
