@@ -171,9 +171,10 @@ def _coordinates(ids: list, sides: list, dimension: int):
     if set(map(type, chain.from_iterable(sides))) <= {int, float}:
         try:
             values = np.fromiter(chain.from_iterable(sides), float, len(sides) * dimension)
-            return values.reshape(-1, dimension), None
         except OverflowError:  # an integer past the float range
             pass
+        else:
+            return values.reshape(-1, dimension), None
     checked, fault = [], None
     for s, side in enumerate(sides):
         what = f"box {ids[s // 2]!r} {'upper' if s % 2 else 'lower'}"

@@ -88,10 +88,11 @@ def boxes_from_vertices(ids: Sequence[str], vertices: np.ndarray) -> list[Box]:
     boxes = []
     for box_id, lower, upper in zip(ids, map(tuple, lowers), map(tuple, uppers)):
         box = object.__new__(Box)
-        fields = box.__dict__  # a frozen dataclass keeps its fields here
-        fields["id"] = box_id
-        fields["lower"] = lower
-        fields["upper"] = upper
+        # as in __post_init__; writing to box.__dict__ instead would make
+        # every later attribute read about twice as slow
+        object.__setattr__(box, "id", box_id)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
         boxes.append(box)
     return boxes
 
