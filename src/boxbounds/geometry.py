@@ -48,13 +48,17 @@ class Box:
                 f"upper has {len(upper)}"
             )
         if not lower:
-            raise InputError(f"box {self.id!r}: needs at least one coordinate")
+            raise _no_coordinates_error(self.id)
         if not all(map(le, lower, upper)):  # also rejects NaN
             raise _order_error(self.id, lower, upper)
 
     @property
     def dimension(self) -> int:
         return len(self.lower)
+
+
+def _no_coordinates_error(box_id: str) -> InputError:
+    return InputError(f"box {box_id!r}: needs at least one coordinate")
 
 
 def _order_error(box_id: str, lower: Sequence[float], upper: Sequence[float]) -> InputError:
@@ -79,7 +83,7 @@ def boxes_from_vertices(ids: Sequence[str], vertices: np.ndarray) -> list[Box]:
             f"vertex array of shape {vertices.shape} does not hold {len(ids)} vertex pairs"
         )
     if len(ids) and not vertices.shape[2]:
-        raise InputError(f"box {ids[0]!r}: needs at least one coordinate")
+        raise _no_coordinates_error(ids[0])
     lowers, uppers = vertices[:, 0].tolist(), vertices[:, 1].tolist()
     ordered = (vertices[:, 0] <= vertices[:, 1]).all(axis=1)  # NaN fails
     if not ordered.all():

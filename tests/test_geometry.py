@@ -126,11 +126,11 @@ BOX_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("args, message", BOX_FAULTS)
-def test_box_validation(args, message):
-    with pytest.raises(InputError) as exc:
-        Box(*args)
-    assert str(exc.value) == message
+def test_box_validation():
+    for args, message in BOX_FAULTS:
+        with pytest.raises(InputError) as exc:
+            Box(*args)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("args, message", [f for f in BOX_FAULTS if len(f[0][1]) == len(f[0][2])])
