@@ -33,7 +33,7 @@ from .bounding import (
     union_bounds,
 )
 from .errors import InfeasibleBoundsError, InputError
-from .geometry import Box, EmptinessMode, boxes_from_vertices
+from .geometry import Box, EmptinessMode, box_vertices, boxes_from_vertices
 from .measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from .oracle import (
     exact_count_distribution,
@@ -398,14 +398,13 @@ def _row_pieces(members, lowers, uppers, layout) -> list:
 
 
 def _fragment_pool(boxes, texts, item, closes, kinds):
-    """The vertices as ``(d, N)`` arrays, and the fragment pool as a list.
+    """The vertices as ``(d, N)`` views, and the fragment pool as a list.
 
     Each coordinate's text carries item after it, or, on the last axis,
     its vertex's entry of closes.  kinds lists the runs of per-box member
     fragments.
     """
-    lowers = np.array([box.lower for box in boxes]).T
-    uppers = np.array([box.upper for box in boxes]).T
+    lowers, uppers = np.moveaxis(box_vertices(boxes), 0, -1)
     pool = []
     for values, close in zip((lowers, uppers), closes):
         for a, column in enumerate(texts(values).tolist()):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import le
 from typing import Sequence
 
@@ -99,6 +100,22 @@ def boxes_from_vertices(ids: Sequence[str], vertices: np.ndarray) -> list[Box]:
         object.__setattr__(box, "upper", upper)
         boxes.append(box)
     return boxes
+
+
+def box_vertices(boxes: Sequence[Box]) -> np.ndarray:
+    """The boxes' vertices as the ``(N, 2, d)`` float array boxes_from_vertices
+    reads: box i's lower vertex, then its upper one.  The boxes must share
+    one dimension (require_same_dimension); no boxes give ``(0, 2, 0)``.
+    """
+    n, d = len(boxes), require_same_dimension(boxes)
+    coordinates = chain.from_iterable(chain.from_iterable((box.lower, box.upper) for box in boxes))
+    return np.fromiter(coordinates, float, 2 * n * d).reshape(n, 2, d)
+
+
+def require_measure_dimension(vertices: np.ndarray, dimension: int) -> None:
+    """Raise unless a vertex array's boxes (if any) fit a measure of this dimension."""
+    if len(vertices) and vertices.shape[2] != dimension:
+        raise InputError(f"boxes have dimension {vertices.shape[2]}, measure has {dimension}")
 
 
 def require_same_dimension(boxes: Sequence[Box]) -> int:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, require_same_dimension
+from .geometry import Box, box_vertices, require_measure_dimension
 from .measure import ProductMeasure
 
 IE_MAX_EVENTS = 20
@@ -31,12 +31,12 @@ CELL_MAX_DIM = 3
 CELL_TEST_BUDGET = 10**8
 _MC_CHUNK = 1 << 19
 # Boxes from which Monte Carlo sorts each chunk on its first axis and tests
-# each box only on its slab there.  At 60,000 samples on boxes of which
-# about 1 % of pairs overlap, in 2-d and 3-d on a 2-core Xeon, a sorted
-# call took 1.5 to 1.8 times the plain loop's time at N = 8, 0.8 to 1.2 at
-# N = 32 and 48, 0.72 to 0.81 at N = 64 and 0.45 to 0.54 at N = 128 and
-# 150, so inputs near the break-even stay on the plain loop.
-_MC_SWEEP_BOXES = 64
+# each box only on its slab there.  Sorted over plain time, on 2-d and 3-d
+# boxes of which 1 % to most pairs overlap, on a 2-core Xeon: at 20,000
+# samples 1.30-1.40 at N = 8, 0.97-1.03 at 28, 0.91-1.01 at 32 and
+# 0.73-0.82 at 64; on one full chunk 0.80-1.02 at 32 and 0.54-0.64 at 64;
+# at 60,000 samples, the slowest case, 0.93-1.15 at 32 and 0.87-1.07 at 40.
+_MC_SWEEP_BOXES = 32
 # Point-in-box tests (samples times boxes) a Monte Carlo run may make.
 # In two dimensions a test takes about 0.6 ns with 150 boxes (2.1 ns with
 # no sort) and 7 ns with 5, where sampling dominates, so a run at the
@@ -88,12 +88,6 @@ class MonteCarloResult(NamedTuple):
     standard_error: float
 
 
-def _check_dimensions(boxes: Sequence[Box], measure: ProductMeasure) -> None:
-    dim = require_same_dimension(boxes)
-    if boxes and dim != measure.dimension:
-        raise InputError(f"boxes have dimension {dim}, measure has {measure.dimension}")
-
-
 def full_inclusion_exclusion_union(
     boxes: Sequence[Box], measure: ProductMeasure
 ) -> float:
@@ -106,10 +100,10 @@ def full_inclusion_exclusion_union(
     n_boxes = len(boxes)
     if n_boxes > IE_MAX_EVENTS:
         raise InputError(f"event count {n_boxes} above the 2^N cap ({IE_MAX_EVENTS})")
-    _check_dimensions(boxes, measure)
+    require_measure_dimension(box_vertices(boxes), measure.dimension)
     if n_boxes == 0:
         return 0.0
-    dim = boxes[0].dimension
+    dim = measure.dimension
     terms: list[float] = []
 
     def visit(start: int, lower, upper, positive: bool) -> None:
@@ -140,11 +134,12 @@ def exact_count_distribution(
     Capped at 3 dimensions; raises InputError before the grid is allocated
     when its cells times the boxes exceed CELL_TEST_BUDGET.
     """
-    _check_dimensions(boxes, measure)
+    vertices = box_vertices(boxes)
+    require_measure_dimension(vertices, measure.dimension)
     n_boxes = len(boxes)
     if n_boxes == 0:
         return CountDistribution((1.0,))
-    dim = boxes[0].dimension
+    dim = measure.dimension
     if dim > CELL_MAX_DIM:
         raise InputError(f"dimension {dim} above the cell cap ({CELL_MAX_DIM})")
     cuts = [
@@ -158,15 +153,13 @@ def exact_count_distribution(
             f"{CELL_TEST_BUDGET} cell-in-box tests"
         )
 
-    lowers = np.array([box.lower for box in boxes])
-    uppers = np.array([box.upper for box in boxes])
     masses, members = [], []
     for k, axis in enumerate(cuts):
         points = [-inf, *axis, inf]
         intervals = zip(points, points[1:])
         masses.append(np.array([measure.interval_probability(k, *span) for span in intervals]))
         lo, hi = np.array(points[:-1])[:, None], np.array(points[1:])[:, None]
-        members.append((lowers[:, k] <= lo) & (hi <= uppers[:, k]))
+        members.append((vertices[:, 0, k] <= lo) & (hi <= vertices[:, 1, k]))
     subscripts = ",".join(f"{cell}z" for cell in "abc"[:dim]) + "->" + "abc"[:dim]
     counts = np.einsum(subscripts, *members, dtype=np.intp).ravel()
     mass = reduce(np.multiply.outer, masses).ravel()
@@ -197,7 +190,8 @@ def monte_carlo_union(
         raise InputError("samples must be at least 1")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    _check_dimensions(boxes, measure)
+    vertices = box_vertices(boxes)
+    require_measure_dimension(vertices, measure.dimension)
     if samples * len(boxes) > MC_TEST_BUDGET:
         raise InputError(
             f"{samples} samples times {len(boxes)} boxes exceed the budget of "
@@ -216,8 +210,8 @@ def monte_carlo_union(
         if sweep:
             columns = columns.take(np.argsort(columns[0]), axis=1)
             first = columns[0]
-            starts = first.searchsorted([box.lower[0] for box in boxes], "left").tolist()
-            stops = first.searchsorted([box.upper[0] for box in boxes], "right").tolist()
+            starts = first.searchsorted(vertices[:, 0, 0], "left").tolist()
+            stops = first.searchsorted(vertices[:, 1, 0], "right").tolist()
         else:
             starts, stops = [0] * len(boxes), [size] * len(boxes)
         hit = np.zeros(size, dtype=bool)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, EmptinessMode, require_same_dimension
+from .geometry import Box, EmptinessMode, box_vertices, require_measure_dimension
 from .measure import ProductMeasure, clamped_product
 
 
@@ -175,15 +175,7 @@ class TupleVerdict(NamedTuple):
     nonempty: bool
 
 
-def _vertex_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper vertices of all boxes as two ``(N, d)`` arrays."""
-    shape = (len(boxes), require_same_dimension(boxes))
-    lowers = np.array([box.lower for box in boxes], dtype=float).reshape(shape)
-    uppers = np.array([box.upper for box in boxes], dtype=float).reshape(shape)
-    return lowers, uppers
-
-
-def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
+def _pair_mask(vertices: np.ndarray, mode: EmptinessMode):
     """Boxes that pass the vertex test, and ``later[i, j]``, i < j, when i and j do.
 
     Without NaN, max(a, b) < min(c, d) exactly when a < c, a < d, b < c and
@@ -194,11 +186,11 @@ def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
     both.  Mask and buffer take 2N² bytes, build_graph's peak; the walk's
     peak is unchanged, as it holds an ``(R, N)`` candidate gather next to it.
     """
-    n = len(lowers)
+    n = len(vertices)
     test = np.less_equal if mode is EmptinessMode.CLOSED else np.less
     later, meets = np.less.outer(np.arange(n), np.arange(n)), np.empty((n, n), dtype=bool)
     passes = np.ones(n, dtype=bool)
-    for lower, upper in zip(lowers.T.copy(), uppers.T.copy()):
+    for lower, upper in vertices.transpose(2, 1, 0).copy():
         later &= test.outer(lower, upper, out=meets)
         passes &= meets.diagonal()
         later &= test.outer(lower, upper, out=meets.T).T
@@ -208,7 +200,7 @@ def _pair_mask(lowers: np.ndarray, uppers: np.ndarray, mode: EmptinessMode):
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    first, second = np.nonzero(_pair_mask(*_vertex_arrays(boxes), mode)[1])
+    first, second = np.nonzero(_pair_mask(box_vertices(boxes), mode)[1])
     return IntersectionGraph(len(boxes), frozenset(zip(first.tolist(), second.tolist())))
 
 
@@ -219,9 +211,10 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
     larger (lower) or smaller (upper), the comparison Python's max/min
     make, so ties between 0.0 and -0.0 keep the sign meet_vertices keeps.
     """
-    lowers, uppers = _vertex_arrays(boxes)
+    vertices = box_vertices(boxes)
+    lowers, uppers = vertices[:, 0], vertices[:, 1]
     first, second = np.triu_indices(len(boxes), 1)
-    nonempty = _pair_mask(lowers, uppers, mode)[1][first, second]
+    nonempty = _pair_mask(vertices, mode)[1][first, second]
     lower = np.where(lowers[second] > lowers[first], lowers[second], lowers[first])
     upper = np.where(uppers[second] < uppers[first], uppers[second], uppers[first])
     ids = [box.id for box in boxes]
@@ -340,24 +333,20 @@ def enumerate_tuples(
     keeps indices, vertices and probabilities.  Raises InputError when the
     walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
-    lowers, uppers = _vertex_arrays(boxes)
-    if measure is not None and boxes and lowers.shape[1] != measure.dimension:
-        raise InputError(
-            f"boxes have dimension {lowers.shape[1]}, measure has {measure.dimension}"
-        )
+    vertices = box_vertices(boxes)  # (N, 2, d)
+    if measure is not None:
+        require_measure_dimension(vertices, measure.dimension)
     n = len(boxes)
     cap = min(max_order, n)
     ids = tuple(box.id for box in boxes)
     levels: dict[int, LedgerOrder] = {}
     if cap < 1:
         return TupleLedger(n, ids, levels)
-    passes, later = _pair_mask(lowers, uppers, mode)
+    passes, later = _pair_mask(vertices, mode)
     roots = np.flatnonzero(passes)
-    # (N, 2, d): each box's lower and upper vertex; cdfs holds their CDF values.
-    vertices = np.stack((lowers, uppers), axis=1)
     current = vertices[roots]
     if measure is not None:
-        cdfs = measure.cdf_table(vertices)
+        cdfs = measure.cdf_table(vertices)  # the CDF value of every coordinate
         current_cdfs = cdfs[roots]
     for k, (indices, f, w) in enumerate(_clique_levels(later, roots, cap), 1):
         if f is not None:

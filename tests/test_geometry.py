@@ -1,3 +1,5 @@
+from math import inf
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,12 @@ from boxbounds.errors import InputError
 from boxbounds.geometry import (
     Box,
     EmptinessMode,
+    box_vertices,
     boxes_from_vertices,
     intersect,
     is_nonempty,
     meet_vertices,
+    require_same_dimension,
     vertex_pair_nonempty,
 )
 
@@ -161,6 +165,37 @@ def test_boxes_from_vertices_matches_box():
     assert boxes_from_vertices([], np.empty((0, 2, 3))) == []
     with pytest.raises(InputError, match=r"vertex array of shape \(2, 2, 1\) does not hold 1"):
         boxes_from_vertices(["A"], np.zeros((2, 2, 1)))
+
+
+def test_box_vertices_round_trip():
+    # Coordinates compare as int64 views, so -0.0 and 0.0 and every
+    # subnormal must come back bit for bit.
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, -inf, inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+    assert box_vertices([]).shape == (0, 2, 0)
+    assert boxes_from_vertices([], box_vertices([])) == []
+    for dim in (1, 2, 3):
+        for n in (1, 2, 9):
+            corners = rng.choice(special + [-1.5, 0.25, 3.0], size=(n, 2, dim))
+            corners[rng.random((n, 2, dim)) < 0.3] = -0.0
+            corners = np.sort(corners, axis=1)
+            ids = [f"B{i}" for i in range(n)]
+            boxes = [Box(i, tuple(lo), tuple(hi)) for i, (lo, hi) in zip(ids, corners)]
+            vertices = box_vertices(boxes)
+            assert vertices.shape == (n, 2, dim) and vertices.dtype == np.float64
+            assert vertices.view(np.int64).tolist() == corners.view(np.int64).tolist()
+            back = boxes_from_vertices(ids, vertices)
+            assert [b.id for b in back] == ids
+            for old, new in zip(boxes, back):
+                for side in ("lower", "upper"):
+                    assert (np.array(getattr(new, side)).view(np.int64).tolist()
+                            == np.array(getattr(old, side)).view(np.int64).tolist())
+    mixed = [Box("A", (0,), (1,)), Box("B", (0, 0), (1, 1)), Box("C", (0,), (1,))]
+    with pytest.raises(InputError) as exc:
+        box_vertices(mixed)
+    with pytest.raises(InputError) as expected:
+        require_same_dimension(mixed)
+    assert str(exc.value) == str(expected.value) == "boxes have mixed dimensions [1, 2]"
 
 
 def test_meet_vertices_validation():

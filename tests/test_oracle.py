@@ -9,7 +9,7 @@ from boxbounds import oracle
 from boxbounds.bounding import atleast_r_bounds, union_bounds
 from boxbounds.cli import load_document, parse_geometry
 from boxbounds.errors import InputError
-from boxbounds.geometry import Box
+from boxbounds.geometry import Box, EmptinessMode
 from boxbounds.measure import PiecewiseCdf, ProductMeasure
 from boxbounds.oracle import (
     _MC_CHUNK,
@@ -18,7 +18,7 @@ from boxbounds.oracle import (
     full_inclusion_exclusion_union,
     monte_carlo_union,
 )
-from boxbounds.screening import binomial_moments, screened_union
+from boxbounds.screening import binomial_moments, enumerate_tuples, screened_union
 
 from helpers import cell_loop_count_distribution, random_instance
 
@@ -185,6 +185,27 @@ def test_cells_dimension_mismatch_comes_first(monkeypatch):
     measure = ProductMeasure.uniform((0,), (1,))
     with pytest.raises(InputError, match="dimension 2, measure has 1"):
         exact_count_distribution([Box("A", (0, 0), (1, 1))], measure)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda boxes, measure: enumerate_tuples(boxes, EmptinessMode.CLOSED, 2, measure),
+        full_inclusion_exclusion_union,
+        exact_count_distribution,
+        lambda boxes, measure: monte_carlo_union(boxes, measure, 100, 1),
+    ],
+    ids=["enumerate_tuples", "full_ie", "cells", "monte_carlo"],
+)
+def test_dimension_mismatch_message(call):
+    boxes = [Box("A", (0, 0), (1, 1)), Box("B", (0.5, 0.5), (2, 2))]
+    with pytest.raises(InputError) as exc:
+        call(boxes, ProductMeasure.uniform((0,), (1,)))
+    assert str(exc.value) == "boxes have dimension 2, measure has 1"
+    with pytest.raises(InputError) as exc:
+        call([*boxes, Box("C", (0,), (1,))], ProductMeasure.uniform((0,), (1,)))
+    assert str(exc.value) == "boxes have mixed dimensions [1, 2]"
+    call([], ProductMeasure.uniform((0,), (1,)))  # no boxes fit any measure
 
 
 def test_count_distribution_validation():

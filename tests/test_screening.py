@@ -14,6 +14,7 @@ from boxbounds.errors import InputError
 from boxbounds.geometry import (
     Box,
     EmptinessMode,
+    box_vertices,
     is_nonempty,
     meet_vertices,
     vertex_pair_nonempty,
@@ -471,9 +472,9 @@ def test_pair_mask_on_every_interval_of_a_grid():
     grid = [-inf, -1.0, -0.0, 0.0, 1.0, 2.0, inf]
     boxes = [Box(f"I{i}", (a,), (b,)) for i, (a, b) in enumerate(combinations(grid, 2))]
     boxes += [Box(f"P{i}", (a,), (a,)) for i, a in enumerate(grid)]
-    lowers, uppers = screening._vertex_arrays(boxes)
+    vertices = box_vertices(boxes)
     for mode in EmptinessMode:
-        passes, later = screening._pair_mask(lowers, uppers, mode)
+        passes, later = screening._pair_mask(vertices, mode)
         assert passes.tolist() == [is_nonempty(box, mode) for box in boxes]
         expected = np.zeros_like(later)
         for i, j in combinations(range(len(boxes)), 2):
