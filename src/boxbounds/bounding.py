@@ -12,13 +12,14 @@ Four families live here, all driven by one small dense LP solver:
 * the Boolean atom LP over individual intersection probabilities p_I,
   which refines what the aggregated moments discard.
 
-The solver is a two-phase dense tableau simplex: fast most-negative
-entering with Bland's anti-cycling rule as the fallback under degeneracy,
-plus periodic tableau rebuilds from the original data so rounding error
-cannot accumulate over long degenerate crawls.  Phase 1 never reads the
-objective, so a bound pair runs it once and starts both phase 2 solves
-from its basis.  Every problem here has at most a few hundred rows, so a
-dense tableau is plenty.
+The solver is a two-phase dense tableau simplex: most-negative entering,
+or steepest edge in a solve that starts from a crash basis, with Bland's
+anti-cycling rule as the fallback under degeneracy, plus periodic tableau
+rebuilds from the original data so rounding error cannot accumulate over
+long degenerate crawls.  Phase 1 never reads the objective, so a bound
+pair runs it once and starts both phase 2 solves from its basis and the
+one tableau body B^-1 [A | b] computed for it.  Every problem here has at
+most a few hundred rows, so a dense tableau is plenty.
 """
 
 from __future__ import annotations
@@ -42,13 +43,15 @@ _STALL_LIMIT = 64  # degenerate pivots tolerated before Bland's rule takes over
 _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 # Cells (rows times columns) of the Boolean atom LP's constraint matrix:
 # 1 + sum_{k<=m} C(N, k) rows over 2^N atoms, counted before zero p_I drop
-# any.  It admits N = 8 at every m, (10, 2) and (12, 1), and rejects
-# (9, 3), where one of nine calls on overlapping boxes runs its simplex
-# to the pivot cap and the others take 1-5 s.  Overlapping 2-d boxes have
-# no zero p_I, so every atom stays: at N = 8 a bound pair takes up to
-# 1.4 s for m = 4, 0.25 s for m = 3 and 5, under 0.1 s from m = 6 on, and
-# 37 ms at m = 8, where the inclusion-exclusion start is optimal.  Random
-# 2-d boxes keep few atoms and take 5 ms at N = 8.
+# any.  It admits N = 8 at every m, (10, 2) and (12, 1).  Overlapping 2-d
+# boxes have no zero p_I, so every atom stays; there, worst of nine calls
+# of system and bound pair, N = 8 takes 0.10 s at m = 4, 88 ms at m = 5,
+# 65 and 59 ms at m = 6 and 7, 33 ms at m = 3, 18 ms at m = 8, where the
+# inclusion-exclusion start is optimal, and less below; (10, 2) takes
+# 62 ms and (12, 1) 8 ms.  Random 2-d boxes keep few atoms and take at
+# most 10 ms.  Just past the budget, (9, 3) on overlapping boxes takes up
+# to 0.57 s and 2,055 pivots a pair, five times the admitted worst, and
+# the matrix doubles with each event.
 _ATOM_CELL_BUDGET = 1 << 16
 # Cells (rows times columns) of the dense moment matrix a moment LP may
 # hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
@@ -107,6 +110,8 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     solution: tuple[float, ...] | None = None
+    # Simplex pivots of the solve, phase 1's included where it ran one.
+    pivots: int = field(default=0, compare=False)
     # The phase-1 start an optimal solve began from, for solve_lp's start.
     _start: _Start | None = field(default=None, repr=False, compare=False)
 
@@ -176,27 +181,23 @@ class BooleanSystem:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    """Pivot on (row, col) by one in-place rank-1 update.
+
+    The pivot column comes out as the unit column exactly: the pivot row
+    holds x / x = 1 there, and every other row x - x * 1 = 0.
+    """
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * pivot_row
     basis[row] = col
 
 
-def _rebuild(
-    tableau: np.ndarray,
-    basis: list[int],
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-) -> None:
-    """Recompute the whole tableau for the current basis from original data.
+def _body(a: np.ndarray, b: np.ndarray, basis: Sequence[int]) -> np.ndarray:
+    """B^-1 [a | b] for the basis B = a[:, basis], from original data.
 
-    A plain tableau accumulates rounding error with every pivot; long
-    degenerate crawls can amplify it until noise entries get picked as
-    pivots.  Rebuilding resets the error to one linear solve's worth.
+    A right-hand side in (-1e-7, 0) is rounding noise and reads 0.
     """
     base = a[:, basis]
     stacked = np.column_stack([a, b])
@@ -206,10 +207,30 @@ def _rebuild(
         body, *_ = np.linalg.lstsq(base, stacked, rcond=None)
     rhs = body[:, -1]
     body[:, -1] = np.where((rhs < 0.0) & (rhs > -1e-7), 0.0, rhs)
-    tableau[:-1, :] = body
-    objective = np.concatenate([c, [0.0]])
-    objective -= c[basis] @ body
-    tableau[-1, :] = objective
+    return body
+
+
+def _rebuild(
+    tableau: np.ndarray,
+    basis: list[int],
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    body: np.ndarray | None = None,
+) -> None:
+    """Recompute the whole tableau for the current basis from original data.
+
+    A plain tableau accumulates rounding error with every pivot; long
+    degenerate crawls can amplify it until noise entries get picked as
+    pivots.  Rebuilding resets the error to one linear solve's worth.
+    body, when given, is _body's value for this basis.
+    """
+    if body is None:
+        body = _body(a, b, basis)
+    tableau[:-1] = body
+    tableau[-1, :-1] = c
+    tableau[-1, -1] = 0.0
+    tableau[-1] -= c[basis] @ body
 
 
 def _pivot_until_optimal(
@@ -218,42 +239,54 @@ def _pivot_until_optimal(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-) -> str:
-    """Pivot a feasible tableau to optimality.
+    steepest: bool = False,
+) -> tuple[str, int]:
+    """Pivot a feasible tableau to optimality; the status and the pivot count.
 
-    Most-negative-reduced-cost entering for speed, with ratio ties broken
-    toward the numerically largest pivot; after a stretch of degenerate
-    pivots Bland's rule (smallest eligible column, smallest basic index on
-    ties) takes over until the objective moves again, which keeps the
-    method free of cycles.  The tableau is rebuilt from original data at a
-    fixed cadence so rounding error cannot accumulate.
+    The entering column has the most negative reduced cost, or with
+    steepest the most negative reduced cost per unit length of its edge,
+    reduced_j / sqrt(1 + ||T[:, j]||^2) over the column T[:, j] of the
+    tableau's body.  Ratio ties are broken toward the numerically largest
+    pivot.  After a stretch of degenerate pivots Bland's rule (smallest
+    eligible column, smallest basic index on ties) takes over until the
+    objective moves again, which keeps the method free of cycles.  The
+    tableau is rebuilt from original data at a fixed cadence so rounding
+    error cannot accumulate.
     """
     rows = tableau.shape[0] - 1
+    body, rhs, reduced = tableau[:rows], tableau[:rows, -1], tableau[rows, :-1]
     stalled = 0
-    for iteration in range(_MAX_PIVOTS):
-        if iteration and iteration % _REFRESH_INTERVAL == 0:
+    for pivots in range(_MAX_PIVOTS):
+        if pivots and pivots % _REFRESH_INTERVAL == 0:
             _rebuild(tableau, basis, a, b, c)
-        reduced = tableau[rows, :-1]
         bland = stalled >= _STALL_LIMIT
-        if bland:
-            eligible = np.nonzero(reduced < -PIVOT_TOL)[0]
-            if eligible.size == 0:
-                return "optimal"
-            col = int(eligible[0])
+        if bland or steepest:
+            eligible = (reduced < -PIVOT_TOL).nonzero()[0]
+            if not eligible.size:
+                return "optimal", pivots
+            if bland:
+                col = int(eligible[0])
+            else:
+                edges = body[:, eligible]
+                lengths = np.sqrt(1.0 + np.einsum("ij,ij->j", edges, edges))
+                col = int(eligible[(reduced[eligible] / lengths).argmin()])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
-                return "optimal"
-        column = tableau[:rows, col]
-        positive = np.nonzero(column > PIVOT_TOL)[0]
-        if positive.size == 0:
-            return "unbounded"
-        ratios = tableau[:rows, -1][positive] / column[positive]
-        ties = positive[ratios == ratios.min()]
-        if bland:
-            row = int(min(ties, key=lambda i: basis[i]))
+                return "optimal", pivots
+        column = body[:, col]
+        ties = (column > PIVOT_TOL).nonzero()[0]
+        if not ties.size:
+            return "unbounded", pivots
+        if ties.size > 1:
+            ratios = rhs[ties] / column[ties]
+            ties = ties[ratios == ratios.min()]
+        if ties.size == 1:
+            row = int(ties[0])
+        elif bland:
+            row = min(ties.tolist(), key=basis.__getitem__)
         else:
-            row = int(ties[np.argmax(column[ties])])
+            row = int(ties[column[ties].argmax()])
         before = tableau[rows, -1]
         _pivot(tableau, basis, row, col)
         if tableau[rows, -1] - before > 1e-15 * (1.0 + abs(before)):
@@ -267,20 +300,25 @@ def _pivot_until_optimal(
 class _Start:
     """A feasible basis from phase 1, over the rows it kept.
 
-    a and b are those rows as given.  Phase 1 never reads the objective,
-    so one start serves the min and the max of any objective over the
-    same rows.
+    a and b are those rows as given, and body is B^-1 [a | b] for the
+    basis (read-only), the body of the first tableau of every phase 2
+    from this start.  Phase 1 never reads the objective, so one start
+    serves the min and the max of any objective over the same rows.
+    steepest says which pricing phase 2 keeps: phase 1's.
     """
 
     basis: tuple[int, ...]
     a: np.ndarray
     b: np.ndarray
+    body: np.ndarray
+    steepest: bool
 
 
 def _phase1(
     a: np.ndarray, b: np.ndarray, crash: np.ndarray | None = None
-) -> _Start | None:
-    """A feasible basis of a x = b, x >= 0, or None when there is none.
+) -> tuple[_Start | None, int]:
+    """A feasible basis of a x = b, x >= 0, or None when there is none,
+    and the pivots phase 1 made.
 
     Without a crash basis every row starts on an artificial variable.  A
     crash basis names one column per row, or -1 for none; with a unit
@@ -293,11 +331,21 @@ def _phase1(
     crash solve may end in another optimal basis than on the same rows
     negated (Boolean rows have b >= 0; the moment LPs pass no crash).
     The start it returns holds the rows as given, not B^-1 a.
+
+    A solve from a crash basis prices by steepest edge in both phases,
+    one from artificials by the most negative reduced cost.  The Boolean
+    atom LP, the one caller with a crash basis, takes 24 pivots a bound
+    pair by steepest edge where it took 38 on the benchmark's shapes,
+    and at (N, m) = (8, 4) on overlapping boxes 373-534 where it took
+    2,078-6,074.  The moment LPs, whose columns of binomial coefficients
+    span many orders of magnitude, went the other way: 52 pivots a pair
+    instead of 25, with bounds moved by up to 8e-9.
     """
     m, n = a.shape
     rows, rhs = a.copy(), b.copy()
     on_crash = np.zeros(m, dtype=bool)
-    if crash is not None:
+    steepest = crash is not None
+    if steepest:
         named = crash >= 0
         base = np.eye(m)
         base[:, named] = a[:, crash[named]]
@@ -322,9 +370,9 @@ def _phase1(
     basis = [0] * m if crash is None else [int(j) for j in crash]
     for k, i in enumerate(art):
         basis[i] = n + k
-    _pivot_until_optimal(tableau, basis, a1, rhs, c1)
+    _, pivots = _pivot_until_optimal(tableau, basis, a1, rhs, c1, steepest)
     if -tableau[m, -1] > PIVOT_TOL:
-        return None
+        return None, pivots
 
     # Pivot leftover artificials out; an all-zero row is redundant and dropped.
     free = np.ones(n, dtype=bool)
@@ -335,29 +383,41 @@ def _phase1(
             if cols.size:
                 _pivot(tableau, basis, i, int(cols[0]))
                 free[basis[i]] = False
+                pivots += 1
     keep = [i for i in range(m) if basis[i] < n]
-    return _Start(tuple(basis[i] for i in keep), a[keep], b[keep])
+    kept = tuple(basis[i] for i in keep)
+    a2, b2 = a[keep], b[keep]
+    body = _body(a2, b2, kept)
+    body.flags.writeable = False
+    return _Start(kept, a2, b2, body, steepest), pivots
 
 
-def _phase2(c: np.ndarray, start: _Start) -> LpResult:
-    """min c . x from a phase-1 start, over the original columns only."""
+def _phase2(c: np.ndarray, start: _Start, pivots: int = 0) -> LpResult:
+    """min c . x from a phase-1 start, over the original columns only.
+
+    pivots is the count phase 1 made for this solve, if it ran one.
+    """
     basis = list(start.basis)
     a2, b2 = start.a, start.b
     rows, n = a2.shape
-    phase2 = np.zeros((rows + 1, n + 1))
-    _rebuild(phase2, basis, a2, b2, c)
-    status = _pivot_until_optimal(phase2, basis, a2, b2, c)
+    phase2 = np.empty((rows + 1, n + 1))
+    _rebuild(phase2, basis, a2, b2, c, start.body)
+    status, moved = _pivot_until_optimal(phase2, basis, a2, b2, c, start.steepest)
+    pivots += moved
     if status == "unbounded":
-        return LpResult(status="unbounded")
+        return LpResult(status="unbounded", pivots=pivots)
 
-    _rebuild(phase2, basis, a2, b2, c)
+    # The solution is read from original data: the start's body, or a
+    # fresh one if the basis moved.
+    body = _body(a2, b2, basis) if moved else start.body
     x = np.zeros(n)
-    x[basis] = phase2[:rows, -1]
+    x[basis] = body[:, -1]
     np.clip(x, 0.0, None, out=x)
     return LpResult(
         status="optimal",
         value=float(c @ x) + 0.0,  # + 0.0 turns a -0.0 optimum into 0.0
-        solution=tuple(float(v) for v in x),
+        solution=tuple(x.tolist()),
+        pivots=pivots,
         _start=start,
     )
 
@@ -376,13 +436,14 @@ def solve_lp(
     Without it, phase 1 runs from the crash basis crash (see _phase1).
     """
     c, a, b = problem.objective, problem.a_eq, problem.b_eq
+    pivots = 0
     if start is None:
-        start = _phase1(a, b, crash)
+        start, pivots = _phase1(a, b, crash)
         if start is None:
-            return LpResult(status="infeasible")
+            return LpResult(status="infeasible", pivots=pivots)
     if problem.sense == "min":
-        return _phase2(c, start)
-    result = _phase2(-c, start)
+        return _phase2(c, start, pivots)
+    result = _phase2(-c, start, pivots)
     if result.status != "optimal":
         return result
     # 0.0 - v, unlike -v, never gives -0.0

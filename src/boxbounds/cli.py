@@ -315,8 +315,11 @@ def _kv_table(fields) -> str:
     return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows)
 
 
-# Rows per streamed block of screen output, about 270 KB of JSON at d = 2.
+# Rows per streamed block of screen output: about 270 KB of JSON at d = 2,
+# and about 250 KB of table, whose writer pays a larger fixed cost per
+# block (two passes and its pad table), so it takes longer blocks.
 _SCREEN_BLOCK_ROWS = 1024
+_TABLE_BLOCK_ROWS = 4096
 
 # Rows screen may list: the C(N, 2) pairs, when listed, plus the listed
 # tuples of orders 3 and up.  Written to /dev/null, the 1,999,000 pair rows
@@ -331,18 +334,17 @@ def _check_screen_rows(rows: int) -> None:
         raise InputError(f"{rows} screen rows exceed the budget of {SCREEN_ROW_BUDGET}")
 
 
-def _order_blocks(n, ledger, k):
+def _order_blocks(n, ledger, k, step):
     """(members, nonempty) per block of order k's listed rows, in output order.
 
     members holds k index arrays of length B, array c holding the c-th
-    member of each of the block's B rows, B at most _SCREEN_BLOCK_ROWS.
+    member of each of the block's B rows, B at most step.
     Every pair is listed, and its verdict is whether the ledger's order 2
     holds it: a pair that passes the test has both boxes among the walk's
     roots, since its meet lies inside each.  A pair block is worked out
     from its positions in lexicographic order, so no array of all pairs is
     built.  Every listed tuple of a higher order is nonempty.
     """
-    step = _SCREEN_BLOCK_ROWS
     if k > 2:
         indices = ledger.levels[k].indices
         for start in range(0, len(indices), step):
@@ -462,7 +464,8 @@ def _screen_json(mode, boxes, ledger, orders, terms_used, terms_full):
         layout = ((0, 1, 2), (3, 3, 4))
         for k in orders:
             yield ("{\n" if k == orders[0] else "\n    ],\n") + f'    "{k}": [\n      '
-            for b, (members, nonempty) in enumerate(_order_blocks(len(boxes), ledger, k)):
+            blocks = _order_blocks(len(boxes), ledger, k, _SCREEN_BLOCK_ROWS)
+            for b, (members, nonempty) in enumerate(blocks):
                 pieces = _row_pieces(members, lowers, uppers, layout)
                 pieces.append(verdicts + nonempty)
                 text = "".join(pool[np.column_stack(pieces)].ravel().tolist())
@@ -494,7 +497,7 @@ def _screen_table(boxes, ledger, orders, terms_used, terms_full):
         layout = ((0, 0, 1),)
 
         def blocks(k):
-            for members, nonempty in _order_blocks(len(boxes), ledger, k):
+            for members, nonempty in _order_blocks(len(boxes), ledger, k, _TABLE_BLOCK_ROWS):
                 pieces = _row_pieces(members, lowers, uppers, layout)
                 yield pieces, sum(lengths[piece] for piece in pieces), nonempty
 

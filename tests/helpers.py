@@ -188,13 +188,14 @@ def two_call_simplex_min(c, a, b, crash=None):
     The solver as it was when each solve ran its own phase 1; the shared
     phase 1 is held to it bit for bit.  It drives the package's pivoting,
     rebuild and optimality loop.  A crash basis runs the package's phase 1
-    from it instead, again in every call.
+    from it instead, again in every call, and its phase 2 prices by
+    steepest edge as the package's does after a crash start.
     """
     if crash is not None:
-        start = bounding._phase1(a, b, crash)
+        start, _ = bounding._phase1(a, b, crash)
         if start is None:
             return LpResult(status="infeasible")
-        return _phase2_of(c, list(start.basis), start.a, start.b)
+        return _phase2_of(c, list(start.basis), start.a, start.b, steepest=True)
     m, n = a.shape
     a = a.copy()
     b = b.copy()
@@ -234,11 +235,11 @@ def two_call_simplex_min(c, a, b, crash=None):
     return _phase2_of(c, [basis[i] for i in keep], a[keep], b[keep])
 
 
-def _phase2_of(c, basis, a2, b2):
+def _phase2_of(c, basis, a2, b2, steepest=False):
     rows, n = a2.shape
     phase2 = np.zeros((rows + 1, n + 1))
     bounding._rebuild(phase2, basis, a2, b2, c)
-    status = bounding._pivot_until_optimal(phase2, basis, a2, b2, c)
+    status, _ = bounding._pivot_until_optimal(phase2, basis, a2, b2, c, steepest)
     if status == "unbounded":
         return LpResult(status="unbounded")
 

@@ -1,4 +1,6 @@
 import re
+from contextlib import contextmanager
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -191,6 +193,36 @@ def test_redundant_rows_are_tolerated():
     result = solve_lp(LpProblem((1.0, 0.0), "min", rows, rhs))
     assert result.status == "optimal"
     assert result.value == pytest.approx(0.5, abs=TOL)
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["artificial", "crash"])
+def test_pivot_counts_cover_phase_1_where_it_ran(monkeypatch, crash):
+    pivot = bounding._pivot
+    made = []
+
+    def counted(tableau, basis, row, col):
+        made.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(bounding, "_pivot", counted)
+    rng = np.random.default_rng(8)
+    phase1 = phase2 = 0
+    for _ in range(30):
+        a = np.vstack([rng.integers(0, 4, size=(3, 6)), np.ones(6)])
+        b = a @ rng.random(6)
+        c = rng.integers(-3, 4, size=6).astype(float)
+        # a crash basis naming the first column for the total-mass row only
+        basis = np.array([-1, -1, -1, 0]) if crash else None
+        made.clear()
+        first = solve_lp(LpProblem(c, "min", a, b), crash=basis)
+        assert first.pivots == len(made)
+        made.clear()
+        second = solve_lp(LpProblem(c, "max", a, b), first._start)
+        assert second.pivots == len(made)
+        phase1 += first.pivots - second.pivots
+        phase2 += second.pivots
+    assert phase1 > 0 and phase2 > 0
+    assert first == replace(first, pivots=first.pivots + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +830,21 @@ def _bound_call(data, rng):
     ]))
 
 
+@contextmanager
+def _reported_pivots():
+    """The pivots each solve_lp call inside reports, in call order."""
+    solve = bounding.solve_lp
+    pivots = []
+
+    def counted(problem, start=None, *, crash=None):
+        result = solve(problem, start, crash=crash)
+        pivots.append(result.pivots)
+        return result
+
+    with mock.patch.object(bounding, "solve_lp", counted):
+        yield pivots
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_bound_pairs_match_the_two_call_simplex(data):
@@ -1006,7 +1053,13 @@ def test_a_negative_bonferroni_row_near_zero_takes_an_artificial():
         assert got.upper == pytest.approx(want.upper, rel=1e-12, abs=1e-22)
 
 
-@pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
+# N = 8 at every m, the widest atom LP of the budget, checked on HiGHS.
+HIGHS_SHAPES = BOX_SHAPES + [(8, True), (8, False)]
+
+
+@pytest.mark.parametrize(
+    "n, overlapping", HIGHS_SHAPES, ids=BOX_IDS + ["overlapping-8", "sparse-8"]
+)
 def test_boolean_lps_match_highs(n, overlapping):
     optimize = pytest.importorskip("scipy.optimize")
     solve = bounding.solve_lp
@@ -1035,24 +1088,29 @@ def test_boolean_lps_match_highs(n, overlapping):
 
 @EXTENTS
 @pytest.mark.parametrize("n, overlapping", BOX_SHAPES, ids=BOX_IDS)
-def test_a_full_information_boolean_pair_makes_no_pivot(
-    n, overlapping, extent, monkeypatch
-):
+def test_a_full_information_boolean_pair_makes_no_pivot(n, overlapping, extent):
     tol = 1e-12 * (100.0 / extent) ** 2
-    pivot = bounding._pivot
-    pivots = []
+    with _reported_pivots() as pivots:
+        for system, target, r, truth in _box_cases(n, overlapping, extent):
+            if system.m == n:
+                pair = boolean_lp_bounds(system, target, r)
+                assert pair.lower == pytest.approx(truth, abs=tol)
+                assert pair.upper == pytest.approx(truth, abs=tol)
+    assert pivots == [0] * 6  # three targets, a min and a max each
 
-    def counted(tableau, basis, row, col):
-        pivots.append((row, col))
-        pivot(tableau, basis, row, col)
 
-    monkeypatch.setattr(bounding, "_pivot", counted)
-    for system, target, r, truth in _box_cases(n, overlapping, extent):
-        if system.m == n:
-            pair = boolean_lp_bounds(system, target, r)
-            assert pair.lower == pytest.approx(truth, abs=tol)
-            assert pair.upper == pytest.approx(truth, abs=tol)
-    assert pivots == []
+@pytest.mark.parametrize("draw", range(3))
+def test_a_middle_order_union_pair_stays_under_the_pivot_ceiling(draw):
+    # (8, 4) on overlapping boxes, the slowest shape the atom budget
+    # admits.  Priced by the most negative reduced cost, these union pairs
+    # took 2,839-6,074 pivots; by steepest edge they take 373-534.
+    boxes, measure = _boxes(np.random.default_rng(1000 + draw), 8, True)
+    union = exact_count_distribution(boxes, measure).union()
+    system = boolean_system_from_boxes(boxes, measure, 4)
+    with _reported_pivots() as pivots:
+        pair = boolean_lp_bounds(system, "union")
+    assert len(pivots) == 2 and sum(pivots) <= 2000
+    assert pair.lower - 1e-12 <= union <= pair.upper + 1e-12
 
 
 def test_a_kept_row_whose_own_atom_was_dropped_takes_an_artificial():

@@ -230,6 +230,7 @@ def test_screen_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, blo
             argv = ("screen", str(path), *rest, "--format", fmt)
             expected[argv] = invoke(argv)
     monkeypatch.setattr(cli, "_SCREEN_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", block_rows)
     for argv, output in expected.items():
         assert invoke(argv) == output, argv
 
