@@ -513,76 +513,12 @@ def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = No
     return a_eq, b_eq
 
 
-def _moment_pair(
-    moments: MomentVector,
-    m: int,
-    start: int,
-    lo: int,
-    hi: int,
-    method: str,
-    q: float | None = None,
-) -> BoundPair:
-    """Bounds on P(lo <= count <= hi) from the moment rows over p_start..p_N.
-
-    The S_0 = 1 row (start 0) or the union row caps the total mass; the
-    reduced rows over p_1..p_N alone do not.
-    """
-    a_eq, b_eq = _moment_rows(moments, m, start, q)
-    counts = np.arange(start, moments.n_events + 1)
-    capped = start == 0 or q is not None
-    return _solve_pair(counts, lo, hi, a_eq, b_eq, method, capped)
-
-
 def _resolve_order(available: int, m: int | None, default: int | None = None) -> int:
     if m is None:
         m = available if default is None else min(default, available)
     if not 1 <= m <= available:
         raise InputError(f"moment order m={m} not available (have S_1..S_{available})")
     return m
-
-
-def check_moment_request(
-    target: str, n: int, r: int | None, m: int | None = None, with_q: bool = False
-) -> None:
-    """Raise the InputError that the moment bound on target over n events
-    gives for r, and for m when given, before the moments are known."""
-    first = 0 if target == "exactly" and not with_q else 1
-    if target != "union" and not first <= r <= n:
-        no_p0 = " (no p_0 in this layout)" if target == "exactly" and with_q else ""
-        raise InputError(f"r={r} out of range {first}..{n}{no_p0}")
-    if m is not None:
-        _resolve_order(n, m)
-
-
-def union_bounds(
-    moments: MomentVector, m: int | None = None, include_p0: bool = False
-) -> BoundPair:
-    """Sharp bounds on P(at least one event occurs) from S_1..S_m.
-
-    include_p0 switches between the full formulation (variables p_0..p_N
-    with the S_0 = 1 row) and the reduced one without p_0.
-    """
-    if moments.n_events < 1:
-        raise InputError("need at least one event")
-    m = _resolve_order(moments.m, m)
-    label = f"moment-p0(m={m})" if include_p0 else f"moment(m={m})"
-    return _moment_pair(moments, m, 0 if include_p0 else 1, 1, moments.n_events, label)
-
-
-def atleast_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
-    """Sharp bounds on P(at least r events occur) from S_1..S_m."""
-    n = moments.n_events
-    check_moment_request("atleast", n, r)
-    m = _resolve_order(moments.m, m)
-    return _moment_pair(moments, m, 0, r, n, f"moment-p0(m={m})")
-
-
-def exactly_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
-    """Sharp bounds on P(exactly r events occur) from S_1..S_m."""
-    n = moments.n_events
-    check_moment_request("exactly", n, r)
-    m = _resolve_order(moments.m, m)
-    return _moment_pair(moments, m, 0, r, r, f"moment-p0(m={m})")
 
 
 def _resolve_q(moments: MomentVector, q: float | None) -> float:
@@ -595,6 +531,86 @@ def _resolve_q(moments: MomentVector, q: float | None) -> float:
     return float(q)
 
 
+def _count_target(target: str, n: int, r: int | None, with_q: bool = False) -> tuple[int, int]:
+    """The counts lo..hi of occurring events, out of n, that make target true.
+
+    Raises the InputError of an unknown target or of an r out of its range;
+    with_q is the layout over p_1..p_N, which has no count zero.
+    """
+    if target == "union":
+        if r is not None:
+            raise InputError("r is meaningless for the union target")
+        if n < 1:
+            raise InputError("need at least one event")
+        return 1, n
+    if target not in ("atleast", "exactly"):
+        raise InputError(f"unknown target {target!r}")
+    first = 0 if target == "exactly" and not with_q else 1
+    if r is None or not first <= r <= n:
+        no_p0 = " (no p_0 in this layout)" if target == "exactly" and with_q else ""
+        raise InputError(f"r={r} out of range {first}..{n}{no_p0}")
+    return r, n if target == "atleast" else r
+
+
+def check_moment_request(
+    target: str, n: int, r: int | None, m: int | None = None, with_q: bool = False
+) -> None:
+    """Raise the InputError that the moment bound on target over n events
+    gives for r, and for m when given, before the moments are known.  Without
+    with_q, boolean_lp_bounds raises the same for r."""
+    _count_target(target, n, r, with_q)
+    if m is not None:
+        _resolve_order(n, m)
+
+
+def _moment_bounds(
+    moments: MomentVector,
+    target: str,
+    r: int | None,
+    m: int | None,
+    layout: str = "moment-p0",
+    q: float | None = None,
+) -> BoundPair:
+    """Bounds on P(target) from the moment rows of S_1..S_m; checks r, q, m.
+
+    Layout 'moment-p0' spans p_0..p_N with the S_0 = 1 row; 'moment' spans
+    p_1..p_N; 'q-moment' adds the union row sum p_i = q to 'moment' and
+    defaults m to min(3, available).  The S_0 = 1 row or the union row caps
+    the total mass; the reduced rows over p_1..p_N alone do not.
+    """
+    with_q = layout == "q-moment"
+    lo, hi = _count_target(target, moments.n_events, r, with_q)
+    if with_q:
+        q = _resolve_q(moments, q)
+    m = _resolve_order(moments.m, m, default=3 if with_q else None)
+    first = 0 if layout == "moment-p0" else 1
+    a_eq, b_eq = _moment_rows(moments, m, first, q)
+    counts = np.arange(first, moments.n_events + 1)
+    method = f"{layout}(m={m})"
+    return _solve_pair(counts, lo, hi, a_eq, b_eq, method, capped=first == 0 or with_q)
+
+
+def union_bounds(
+    moments: MomentVector, m: int | None = None, include_p0: bool = False
+) -> BoundPair:
+    """Sharp bounds on P(at least one event occurs) from S_1..S_m.
+
+    include_p0 switches between the full formulation (variables p_0..p_N
+    with the S_0 = 1 row) and the reduced one without p_0.
+    """
+    return _moment_bounds(moments, "union", None, m, "moment-p0" if include_p0 else "moment")
+
+
+def atleast_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
+    """Sharp bounds on P(at least r events occur) from S_1..S_m."""
+    return _moment_bounds(moments, "atleast", r, m)
+
+
+def exactly_r_bounds(moments: MomentVector, r: int, m: int | None = None) -> BoundPair:
+    """Sharp bounds on P(exactly r events occur) from S_1..S_m."""
+    return _moment_bounds(moments, "exactly", r, m)
+
+
 def q_atleast_bounds(
     moments: MomentVector, r: int, m: int | None = None, q: float | None = None
 ) -> BoundPair:
@@ -603,11 +619,7 @@ def q_atleast_bounds(
     Adds the equality sum p_i = Q to the moment rows over p_1..p_N, which
     never loosens the plain bounds.  m defaults to min(3, available).
     """
-    n = moments.n_events
-    check_moment_request("atleast", n, r, with_q=True)
-    q = _resolve_q(moments, q)
-    m = _resolve_order(moments.m, m, default=3)
-    return _moment_pair(moments, m, 1, r, n, f"q-moment(m={m})", q)
+    return _moment_bounds(moments, "atleast", r, m, "q-moment", q)
 
 
 def q_exactly_bounds(
@@ -618,11 +630,7 @@ def q_exactly_bounds(
     The layout has no p_0 variable, so r = 0 is rejected; use
     exactly_r_bounds for the count-zero target.
     """
-    n = moments.n_events
-    check_moment_request("exactly", n, r, with_q=True)
-    q = _resolve_q(moments, q)
-    m = _resolve_order(moments.m, m, default=3)
-    return _moment_pair(moments, m, 1, r, r, f"q-moment(m={m})", q)
+    return _moment_bounds(moments, "exactly", r, m, "q-moment", q)
 
 
 # ---------------------------------------------------------------------------
@@ -750,21 +758,8 @@ def boolean_lp_bounds(
     >= 0 on every row where m - |I| is even, and at m = N the exact answer.
     """
     n = system.n_events
+    lo, hi = _count_target(target, n, r)
     check_atom_cap(n, system.m)
-    if target == "union":
-        if r is not None:
-            raise InputError("r is meaningless for the union target")
-        lo, hi = 1, n
-    elif target == "atleast":
-        if r is None or not 1 <= r <= n:
-            raise InputError(f"atleast target needs r in 1..{n}")
-        lo, hi = r, n
-    elif target == "exactly":
-        if r is None or not 0 <= r <= n:
-            raise InputError(f"exactly target needs r in 0..{n}")
-        lo, hi = r, r
-    else:
-        raise InputError(f"unknown target {target!r}")
 
     # Row order is the simplex's pivot order: total mass, then the subsets
     # by size and lexicographically within a size.  Atom J lies in the row
@@ -784,12 +779,5 @@ def boolean_lp_bounds(
     # zero row's subset; such a row names no column and gets an artificial.
     own = np.concatenate([[0], masks[~zero, 0]])
     crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
-    return _solve_pair(
-        sizes[atoms],
-        lo,
-        hi,
-        a_eq,
-        b_eq,
-        f"boolean(m={system.m})",
-        crash=crash,
-    )
+    method = f"boolean(m={system.m})"
+    return _solve_pair(sizes[atoms], lo, hi, a_eq, b_eq, method, crash=crash)

@@ -629,6 +629,7 @@ def _cmd_bounds(args):
             raise InputError("--method boolean needs geometry input")
         if args.with_q:
             raise InputError("--with-q does not apply to the boolean method")
+        check_moment_request(target, n, r)  # boolean_lp_bounds's r check, before the walk
         if 1 <= m <= n:  # boolean_system_from_boxes reports any other m first
             check_atom_cap(n, m)
         system = boolean_system_from_boxes(problem.boxes, problem.measure, m)
@@ -746,11 +747,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common, geo], help="lower/upper bounds")
     p.add_argument("file", help="geometry file, or a moments file as emitted by 'moments'")
-    p.add_argument("--target", choices=("union", "atleast", "exactly"), default="union")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="moment order (default: min(3, available))")
-    p.add_argument("--with-q", action="store_true", dest="with_q")
-    p.add_argument("--method", choices=("moment", "boolean", "hunter-worsley"), default="moment")
+    targets = ("union", "atleast", "exactly")
+    help_target = "union (at least one event), atleast r or exactly r events (default: union)"
+    p.add_argument("--target", choices=targets, default="union", help=help_target)
+    p.add_argument("--r", type=int, help="atleast: 1..N; exactly: 0..N, or 1..N with --with-q")
+    orders = "moment order or Boolean subset order (default: min(3, available)); not hunter-worsley"
+    p.add_argument("--m", type=int, help=orders)
+    p.add_argument("--with-q", action="store_true", help="moment LP with the exact union row too")
+    methods = ("moment", "boolean", "hunter-worsley")
+    help_method = "moment LP, Boolean atom LP or Hunter-Worsley union upper bound (default: moment)"
+    p.add_argument("--method", choices=methods, default="moment", help=help_method)
 
     p = sub.add_parser("oracle", parents=[common], help="ground-truth engines")
     p.add_argument("file")

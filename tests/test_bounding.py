@@ -310,6 +310,13 @@ def test_moment_order_validation():
         exactly_r_bounds(moments, -1)
 
 
+def _boolean_bounds(moments, target, r=None):
+    """boolean_lp_bounds over as many independent events as the moments have."""
+    n = moments.n_events
+    system = BooleanSystem(n, 1, {frozenset({i}): 0.1 for i in range(n)})
+    return boolean_lp_bounds(system, target, r)
+
+
 @pytest.mark.parametrize(
     "bound, args, message",
     [
@@ -320,12 +327,28 @@ def test_moment_order_validation():
         (q_atleast_bounds, (0,), "r=0 out of range 1..3"),
         (q_exactly_bounds, (0,), "r=0 out of range 1..3 (no p_0 in this layout)"),
         (q_exactly_bounds, (1, 3), "moment order m=3 not available (have S_1..S_2)"),
+        (_boolean_bounds, ("atleast", 4), "r=4 out of range 1..3"),
+        (_boolean_bounds, ("atleast", None), "r=None out of range 1..3"),
+        (_boolean_bounds, ("exactly", -1), "r=-1 out of range 0..3"),
+        (_boolean_bounds, ("union", 1), "r is meaningless for the union target"),
+        (_boolean_bounds, ("nonsense",), "unknown target 'nonsense'"),
     ],
 )
 def test_moment_range_messages(bound, args, message):
     # The bound functions and check_moment_request share these messages.
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         bound(MomentVector(3, (0.5, 0.1), 0.5), *args)
+
+
+def _raised(call):
+    """The InputError message that call raises, or None."""
+    try:
+        call()
+    except InfeasibleBoundsError:
+        return None
+    except InputError as error:
+        return str(error)
+    return None
 
 
 def test_check_moment_request_raises_what_the_bounds_raise():
@@ -342,19 +365,22 @@ def test_check_moment_request_raises_what_the_bounds_raise():
     for (target, with_q), call in calls.items():
         for r in (None,) if target == "union" else range(-1, 6):
             for m in range(-1, 6):
-                try:
-                    call(r, m)
-                    expected = None
-                except InfeasibleBoundsError:
-                    expected = None
-                except InputError as error:
-                    expected = str(error)
-                try:
-                    bounding.check_moment_request(target, 4, r, m, with_q)
-                    got = None
-                except InputError as error:
-                    got = str(error)
+                expected = _raised(lambda: call(r, m))
+                got = _raised(lambda: bounding.check_moment_request(target, 4, r, m, with_q))
                 assert got == expected, (target, with_q, r, m)
+    # The Boolean bound raises the same for r, for every target and r.
+    marginals = (0.5, 0.4, 0.3, 0.2)
+    p = {
+        frozenset(combo): float(np.prod([marginals[i] for i in combo]))
+        for k in (1, 2)
+        for combo in combinations(range(4), k)
+    }
+    system = BooleanSystem(4, 2, p)
+    for target in ("union", "atleast", "exactly", "nonsense"):
+        for r in (None, *range(-1, 6)):
+            expected = _raised(lambda: boolean_lp_bounds(system, target, r))
+            got = _raised(lambda: bounding.check_moment_request(target, 4, r))
+            assert got == expected, (target, r)
 
 
 def test_infeasible_moments_raise():

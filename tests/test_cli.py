@@ -559,6 +559,28 @@ def test_moment_bounds_check_m_and_r_before_the_walk(capsys, tmp_path, monkeypat
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--target", "atleast", "--r", "99"), "r=99 out of range 1..5"),
+        (("--target", "exactly", "--r", "-1"), "r=-1 out of range 0..5"),
+        # r is reported before an m out of range, as by the moment method
+        (("--target", "atleast", "--r", "0", "--m", "9"), "r=0 out of range 1..5"),
+    ],
+)
+def test_boolean_bounds_check_r_before_the_walk(capsys, fixtures_dir, monkeypatch, argv, message):
+    # The Boolean method rejects r with the moment method's message, before
+    # the ledger walk and before the Boolean system is built.
+    def unreachable(*args):
+        pytest.fail("the walk ran before the range check")
+
+    monkeypatch.setattr(cli, "enumerate_tuples", unreachable)
+    monkeypatch.setattr(cli, "boolean_system_from_boxes", unreachable)
+    path = fixtures_dir / "example1.json"
+    code, out, err = _invoke(capsys, "bounds", str(path), "--method", "boolean", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("m", [None, "1", "2"])
 @pytest.mark.parametrize(
     "path",
@@ -590,6 +612,9 @@ def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, mon
     code, out, err = _invoke(capsys, *argv, "--m", "14")
     assert (code, out) == (1, "")
     assert err == "error: order m=14 out of range 1..13\n"
+    # So is an out-of-range r, as by the moment method.
+    code, out, err = _invoke(capsys, *argv, "--target", "atleast", "--r", "99")
+    assert (code, out, err) == (1, "", "error: r=99 out of range 1..13\n")
 
     def unreachable(*args):
         pytest.fail("the Boolean system was built for an LP above the atom cap")
