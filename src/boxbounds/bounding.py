@@ -147,8 +147,7 @@ class BooleanSystem:
     def __post_init__(self) -> None:
         if self.n_events < 1:
             raise InputError("Boolean system needs at least one event")
-        if not 1 <= self.m <= self.n_events:
-            raise InputError(f"constraint order m={self.m} out of range 1..{self.n_events}")
+        check_order(self.m, self.n_events)
         normalized: dict[frozenset[int], float] = {}
         for key, value in self.p.items():
             subset = frozenset(int(i) for i in key)
@@ -513,12 +512,10 @@ def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = No
     return a_eq, b_eq
 
 
-def _resolve_order(available: int, m: int | None, default: int | None = None) -> int:
-    if m is None:
-        m = available if default is None else min(default, available)
+def check_order(m: int, available: int) -> None:
+    """Raise the InputError of an order m outside 1..available events or moments."""
     if not 1 <= m <= available:
-        raise InputError(f"moment order m={m} not available (have S_1..S_{available})")
-    return m
+        raise InputError(f"m={m} out of range 1..{available}")
 
 
 def _resolve_q(moments: MomentVector, q: float | None) -> float:
@@ -534,19 +531,22 @@ def _resolve_q(moments: MomentVector, q: float | None) -> float:
 def _count_target(target: str, n: int, r: int | None, with_q: bool = False) -> tuple[int, int]:
     """The counts lo..hi of occurring events, out of n, that make target true.
 
-    Raises the InputError of an unknown target or of an r out of its range;
-    with_q is the layout over p_1..p_N, which has no count zero.
+    Raises the InputError of no events, an unknown target, or an r missing,
+    given or out of range; with_q is the layout over p_1..p_N, which has no
+    count zero.  Allocates nothing.
     """
+    if n < 1:
+        raise InputError("need at least one event")
     if target == "union":
         if r is not None:
             raise InputError("r is meaningless for the union target")
-        if n < 1:
-            raise InputError("need at least one event")
         return 1, n
     if target not in ("atleast", "exactly"):
         raise InputError(f"unknown target {target!r}")
+    if r is None:
+        raise InputError(f"r is required for the {target} target")
     first = 0 if target == "exactly" and not with_q else 1
-    if r is None or not first <= r <= n:
+    if not first <= r <= n:
         no_p0 = " (no p_0 in this layout)" if target == "exactly" and with_q else ""
         raise InputError(f"r={r} out of range {first}..{n}{no_p0}")
     return r, n if target == "atleast" else r
@@ -555,12 +555,13 @@ def _count_target(target: str, n: int, r: int | None, with_q: bool = False) -> t
 def check_moment_request(
     target: str, n: int, r: int | None, m: int | None = None, with_q: bool = False
 ) -> None:
-    """Raise the InputError that the moment bound on target over n events
-    gives for r, and for m when given, before the moments are known.  Without
-    with_q, boolean_lp_bounds raises the same for r."""
+    """Raise the InputError of a request for target over n events, for n
+    and r and then for m when given, before any walk.  Every bound method
+    raises the same for r and m: the moment bounds, boolean_lp_bounds
+    (without with_q), boolean_system_from_boxes and BooleanSystem."""
     _count_target(target, n, r, with_q)
     if m is not None:
-        _resolve_order(n, m)
+        check_order(m, n)
 
 
 def _moment_bounds(
@@ -582,7 +583,9 @@ def _moment_bounds(
     lo, hi = _count_target(target, moments.n_events, r, with_q)
     if with_q:
         q = _resolve_q(moments, q)
-    m = _resolve_order(moments.m, m, default=3 if with_q else None)
+    if m is None:
+        m = min(3, moments.m) if with_q else moments.m
+    check_order(m, moments.m)
     first = 0 if layout == "moment-p0" else 1
     a_eq, b_eq = _moment_rows(moments, m, first, q)
     counts = np.arange(first, moments.n_events + 1)
@@ -714,8 +717,7 @@ def boolean_system_from_boxes(
     prunes carries probability exactly 0.0.
     """
     n = len(boxes)
-    if not 1 <= m <= n:
-        raise InputError(f"order m={m} out of range 1..{n}")
+    check_order(m, n)
     ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, m, measure)
     p = {}
     for k in range(1, m + 1):

@@ -26,6 +26,7 @@ from .bounding import (
     boolean_system_from_boxes,
     check_atom_cap,
     check_moment_request,
+    check_order,
     exactly_r_bounds,
     hunter_worsley_upper,
     q_atleast_bounds,
@@ -565,10 +566,8 @@ def _cmd_moments(args):
     mode = _resolve_mode(args, problem)
     n = len(problem.boxes)
     m = n if args.m is None else args.m
-    if args.m is not None and m < 1:  # an empty s is no valid bounds input
-        raise InputError(f"--m {m} is below 1")
-    if m > n:
-        raise InputError(f"--m {m} exceeds the event count {n}")
+    if args.m is not None:  # an empty s is no valid bounds input
+        check_order(m, n)
     moments = binomial_moments(problem.boxes, problem.measure, mode, m)
     return [
         ("mode", None, mode.value),
@@ -585,10 +584,7 @@ def _bounds_inputs(args):
     doc = load_document(args.file)
     if isinstance(doc, dict) and "boxes" in doc:
         problem = parse_geometry(doc)
-        mode = _resolve_mode(args, problem)
-        if not problem.boxes:
-            raise InputError("bounds need at least one event")
-        return problem, mode, None
+        return problem, _resolve_mode(args, problem), None
     if isinstance(doc, dict) and "s" in doc:
         if getattr(args, "mode", None):
             raise InputError("--mode applies only to geometry input")
@@ -599,17 +595,21 @@ def _bounds_inputs(args):
 def _cmd_bounds(args):
     problem, mode, moments = _bounds_inputs(args)
     n = moments.n_events if problem is None else len(problem.boxes)
-    target = args.target
-    r = args.r
-    if target in ("atleast", "exactly") and r is None:
-        raise InputError(f"--target {target} requires --r")
-    if target == "union" and r is not None:
-        raise InputError("--r is meaningless for --target union")
+    target, r, method = args.target, args.r, args.method
+    if method != "moment" and problem is None:
+        raise InputError(f"--method {method} needs geometry input")
+    if method == "hunter-worsley" and target != "union":
+        raise InputError("--method hunter-worsley bounds the union only")
+    if method != "moment" and args.with_q:
+        raise InputError(f"--with-q does not apply to the {method} method")
+    if method == "hunter-worsley" and args.m is not None:
+        raise InputError("--m does not apply to the hunter-worsley method")
     m = min(3, n if moments is None else moments.m) if args.m is None else args.m
+    # Every check before any walk, which may be long or over budget; a
+    # moments file's m is checked against its moments by the bound itself.
+    check_moment_request(target, n, r, None if problem is None else m, args.with_q)
 
-    if args.method == "moment":
-        if problem is not None:  # before a walk that may be long or over budget
-            check_moment_request(target, n, r, m, args.with_q)
+    if method == "moment":
         if problem is not None and args.with_q:  # q needs the full walk
             moments = binomial_moments(problem.boxes, problem.measure, mode, m)
         elif problem is not None:
@@ -624,25 +624,11 @@ def _cmd_bounds(args):
         else:
             r_bounds = atleast_r_bounds if target == "atleast" else exactly_r_bounds
             result = r_bounds(moments, r, m)
-    elif args.method == "boolean":
-        if problem is None:
-            raise InputError("--method boolean needs geometry input")
-        if args.with_q:
-            raise InputError("--with-q does not apply to the boolean method")
-        check_moment_request(target, n, r)  # boolean_lp_bounds's r check, before the walk
-        if 1 <= m <= n:  # boolean_system_from_boxes reports any other m first
-            check_atom_cap(n, m)
+    elif method == "boolean":
+        check_atom_cap(n, m)
         system = boolean_system_from_boxes(problem.boxes, problem.measure, m)
         result = boolean_lp_bounds(system, target, r)
     else:  # hunter-worsley
-        if problem is None:
-            raise InputError("--method hunter-worsley needs geometry input")
-        if target != "union":
-            raise InputError("--method hunter-worsley bounds the union only")
-        if args.with_q:
-            raise InputError("--with-q does not apply to the hunter-worsley method")
-        if args.m is not None:
-            raise InputError("--m does not apply to the hunter-worsley method")
         ledger = enumerate_tuples(problem.boxes, mode, 2, problem.measure)
         upper = hunter_worsley_upper(ledger.order_sum(1), ledger.probabilities(2), n)
         return [

@@ -320,15 +320,15 @@ def _boolean_bounds(moments, target, r=None):
 @pytest.mark.parametrize(
     "bound, args, message",
     [
-        (union_bounds, (3,), "moment order m=3 not available (have S_1..S_2)"),
+        (union_bounds, (3,), "m=3 out of range 1..2"),
         (atleast_r_bounds, (4,), "r=4 out of range 1..3"),
-        (atleast_r_bounds, (1, 0), "moment order m=0 not available (have S_1..S_2)"),
+        (atleast_r_bounds, (1, 0), "m=0 out of range 1..2"),
         (exactly_r_bounds, (-1,), "r=-1 out of range 0..3"),
         (q_atleast_bounds, (0,), "r=0 out of range 1..3"),
         (q_exactly_bounds, (0,), "r=0 out of range 1..3 (no p_0 in this layout)"),
-        (q_exactly_bounds, (1, 3), "moment order m=3 not available (have S_1..S_2)"),
+        (q_exactly_bounds, (1, 3), "m=3 out of range 1..2"),
         (_boolean_bounds, ("atleast", 4), "r=4 out of range 1..3"),
-        (_boolean_bounds, ("atleast", None), "r=None out of range 1..3"),
+        (_boolean_bounds, ("atleast", None), "r is required for the atleast target"),
         (_boolean_bounds, ("exactly", -1), "r=-1 out of range 0..3"),
         (_boolean_bounds, ("union", 1), "r is meaningless for the union target"),
         (_boolean_bounds, ("nonsense",), "unknown target 'nonsense'"),
@@ -372,15 +372,27 @@ def test_check_moment_request_raises_what_the_bounds_raise():
     marginals = (0.5, 0.4, 0.3, 0.2)
     p = {
         frozenset(combo): float(np.prod([marginals[i] for i in combo]))
-        for k in (1, 2)
+        for k in range(1, 5)
         for combo in combinations(range(4), k)
     }
-    system = BooleanSystem(4, 2, p)
+    system = BooleanSystem(4, 2, {key: value for key, value in p.items() if len(key) <= 2})
     for target in ("union", "atleast", "exactly", "nonsense"):
         for r in (None, *range(-1, 6)):
             expected = _raised(lambda: boolean_lp_bounds(system, target, r))
             got = _raised(lambda: bounding.check_moment_request(target, 4, r))
             assert got == expected, (target, r)
+    # The Boolean system, from boxes or from its entries, raises the same
+    # for m: four independent events, box i on [0, marginals[i]] in axis i.
+    boxes = [
+        Box(f"A{i}", [0.0] * 4, [marginals[i] if a == i else 1.0 for a in range(4)])
+        for i in range(4)
+    ]
+    measure = ProductMeasure.uniform([0.0] * 4, [1.0] * 4)
+    for m in range(-1, 6):
+        got = _raised(lambda: bounding.check_moment_request("union", 4, None, m))
+        entries = {key: value for key, value in p.items() if len(key) <= m}
+        assert _raised(lambda: BooleanSystem(4, m, entries)) == got, m
+        assert _raised(lambda: boolean_system_from_boxes(boxes, measure, m)) == got, m
 
 
 def test_infeasible_moments_raise():

@@ -101,7 +101,7 @@ def test_moments_m_below_1_exits_1(capsys, fixtures_dir, tmp_path):
         for fmt in ("table", "json"):
             code, out, err = _invoke(capsys, "moments", path, "--m", m, "--format", fmt)
             assert (code, out) == (1, "")
-            assert err == f"error: --m {m} is below 1\n"
+            assert err == f"error: m={m} out of range 1..5\n"
     # Without --m a file with no boxes still lists its zero moments.
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({**json.loads(Path(path).read_text()), "boxes": []}))
@@ -394,7 +394,7 @@ def test_missing_r_exits_1(capsys, fixtures_dir):
         capsys, "bounds", str(fixtures_dir / "example1.json"), "--target", "atleast"
     )
     assert code == 1
-    assert "--r" in err
+    assert err == "error: r is required for the atleast target\n"
 
 
 def test_boolean_on_moments_file_exits_1(capsys, tmp_path):
@@ -531,13 +531,13 @@ def test_moment_bounds_walk_only_to_m(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--m", "0"), "moment order m=0 not available (have S_1..S_22)"),
-        (("--m", "-1"), "moment order m=-1 not available (have S_1..S_22)"),
-        (("--m", "23"), "moment order m=23 not available (have S_1..S_22)"),
-        (("--m", "30"), "moment order m=30 not available (have S_1..S_22)"),
+        (("--m", "0"), "m=0 out of range 1..22"),
+        (("--m", "-1"), "m=-1 out of range 1..22"),
+        (("--m", "23"), "m=23 out of range 1..22"),
+        (("--m", "30"), "m=30 out of range 1..22"),
         (("--target", "atleast", "--r", "99"), "r=99 out of range 1..22"),
         (("--target", "exactly", "--r", "23"), "r=23 out of range 0..22"),
-        (("--with-q", "--m", "30"), "moment order m=30 not available (have S_1..S_22)"),
+        (("--with-q", "--m", "30"), "m=30 out of range 1..22"),
         (("--with-q", "--target", "atleast", "--r", "99"), "r=99 out of range 1..22"),
         (
             ("--with-q", "--target", "exactly", "--r", "0"),
@@ -581,6 +581,91 @@ def test_boolean_bounds_check_r_before_the_walk(capsys, fixtures_dir, monkeypatc
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# Per input kind: the file, its event count N, the orders m it admits (N
+# on geometry, the moments S_1..S_A in a moments file) and the methods that
+# take it, with --with-q as a method of its own.
+_REQUEST_INPUTS = {
+    "geometry": (
+        "fixtures/example1.json", 5, 5, ("moment", "moment --with-q", "boolean", "hunter-worsley")
+    ),
+    "moments": ("tests/golden/moments-n20-m16.json", 20, 16, ("moment", "moment --with-q")),
+}
+_REQUEST_FAULTS = ("r missing", "r with union", "r out of range", "m below 1", "m above N")
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Fail the test if a walk or a Boolean system build starts."""
+    def unreachable(*args):
+        pytest.fail("a walk ran before the request was checked")
+
+    for name in ("enumerate_tuples", "binomial_moments", "boolean_system_from_boxes"):
+        monkeypatch.setattr(cli, name, unreachable)
+
+
+def _request_fault(fault, n, orders):
+    """The argv of one fault in a bounds request, and its message."""
+    return {
+        "r missing": (("--target", "atleast"), "r is required for the atleast target"),
+        "r with union": (("--r", "1"), "r is meaningless for the union target"),
+        "r out of range": (
+            ("--target", "atleast", "--r", str(n + 1)), f"r={n + 1} out of range 1..{n}"
+        ),
+        "m below 1": (("--m", "0"), f"m=0 out of range 1..{orders}"),
+        "m above N": (("--m", str(orders + 1)), f"m={orders + 1} out of range 1..{orders}"),
+    }[fault]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "kind, method, fault",
+    [
+        (kind, method, fault)
+        for kind, (*_, methods) in _REQUEST_INPUTS.items()
+        for method in methods
+        for fault in _REQUEST_FAULTS
+        # hunter-worsley bounds the union only and takes no --m
+        if method != "hunter-worsley" or fault == "r with union"
+    ],
+)
+def test_bounds_request_fault_gives_one_line_before_any_walk(
+    capsys, no_walk, kind, method, fault, fmt
+):
+    # Every method reports one fault with one message, before any walk.
+    path, n, orders, _ = _REQUEST_INPUTS[kind]
+    argv, message = _request_fault(fault, n, orders)
+    code, out, err = _invoke(
+        capsys, "bounds", str(ROOT / path), "--method", *method.split(), *argv, "--format", fmt
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_hunter_worsley_reports_its_target_before_r(capsys, fixtures_dir):
+    # The method's own rule comes before the rules for r: atleast without
+    # --r is a target the method does not bound, not a missing r.
+    path = str(fixtures_dir / "example1.json")
+    argv = ("bounds", path, "--method", "hunter-worsley", "--target", "atleast")
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: --method hunter-worsley bounds the union only\n")
+
+
+def test_bounds_on_no_boxes_exits_1_before_any_walk(capsys, fixtures_dir, tmp_path, no_walk):
+    doc = json.loads((fixtures_dir / "example1.json").read_text())
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**doc, "boxes": []}))
+    calls = [("hunter-worsley",)] + [
+        (method, *argv)
+        for method in ("moment", "boolean")
+        for argv in ((), ("--target", "atleast", "--r", "1"), ("--m", "2"))
+    ]
+    for method, *argv in calls:
+        for fmt in ("table", "json"):
+            code, out, err = _invoke(
+                capsys, "bounds", str(empty), "--method", method, *argv, "--format", fmt
+            )
+            assert (code, out, err) == (1, "", "error: need at least one event\n"), (method, argv)
+
+
 @pytest.mark.parametrize("m", [None, "1", "2"])
 @pytest.mark.parametrize(
     "path",
@@ -611,7 +696,7 @@ def test_boolean_atom_cap_exits_before_the_system_is_built(capsys, tmp_path, mon
     # An out-of-range m is still reported ahead of the cap.
     code, out, err = _invoke(capsys, *argv, "--m", "14")
     assert (code, out) == (1, "")
-    assert err == "error: order m=14 out of range 1..13\n"
+    assert err == "error: m=14 out of range 1..13\n"
     # So is an out-of-range r, as by the moment method.
     code, out, err = _invoke(capsys, *argv, "--target", "atleast", "--r", "99")
     assert (code, out, err) == (1, "", "error: r=99 out of range 1..13\n")
