@@ -106,23 +106,23 @@ class TupleLedger:
     def term_count(self) -> int:
         return sum(len(level.indices) for level in self.levels.values())
 
-    def _probabilities(self, order: int) -> list[float]:
+    def _probability_column(self, order: int) -> np.ndarray:
         level = self.levels.get(order)
         if level is None:
-            return []
+            return np.empty(0)
         if level.probability is None:
             raise InputError("ledger was built without a measure; probabilities missing")
-        return level.probability.tolist()
+        return level.probability
 
     def probabilities(self, order: int) -> dict[tuple[int, ...], float]:
         """{index tuple: probability} over the surviving tuples of one order."""
         level = self.levels.get(order)
         indices = [] if level is None else map(tuple, level.indices.tolist())
-        return dict(zip(indices, self._probabilities(order)))
+        return dict(zip(indices, self._probability_column(order).tolist()))
 
     def order_sum(self, order: int) -> float:
         """Probability total over the surviving tuples of one order."""
-        return fsum(self._probabilities(order))
+        return fsum(self._probability_column(order).tolist())
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,8 @@ def _pair_mask(vertices: np.ndarray, mode: EmptinessMode):
 
 def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
     """Graph whose edges are the index pairs with nonempty intersection."""
-    first, second = np.nonzero(_pair_mask(box_vertices(boxes), mode)[1])
+    later = _pair_mask(box_vertices(boxes), mode)[1]
+    first, second = np.divmod(np.flatnonzero(later), len(boxes))
     return IntersectionGraph(len(boxes), frozenset(zip(first.tolist(), second.tolist())))
 
 
@@ -230,7 +231,8 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
 # A kept term of order k in d dimensions takes (k + 2d + 1) * 8 bytes.
 TERM_BUDGET = 1_000_000
 # Bytes the gather of one order's candidate masks may allocate: one byte
-# per event and term, three times over (two gathered rows and their AND).
+# per event and term, counted three times over.  The walk holds two such
+# arrays (the gathered rows, ANDed in place), so the bound is conservative.
 MASK_BYTE_BUDGET = 128 * 2**20
 
 
@@ -264,7 +266,8 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int):
                 f"{kept + pending} inclusion-exclusion terms up to order {k + 1} "
                 f"exceed the budget of {TERM_BUDGET}"
             )
-        f, w = np.nonzero(cand)
+        # the flat split gives np.nonzero's row-major pairs, four times faster
+        f, w = np.divmod(np.flatnonzero(cand), len(later))
         indices = np.column_stack((indices[f], w))
         if k + 1 == cap:
             continue
@@ -274,7 +277,8 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int):
                 f"{gather} candidate-mask bytes for order {k + 2} "
                 f"exceed the budget of {MASK_BYTE_BUDGET}"
             )
-        cand = cand[f] & later[w]
+        cand = cand[f]
+        cand &= later[w]
 
 
 def cliques_by_order(
@@ -323,15 +327,19 @@ def enumerate_tuples(
     max_order above the event count is clamped.  With a measure given, each
     order carries its intersection probabilities; every tuple the walk
     leaves out has probability exactly 0.0 under POSITIVE_MEASURE.  Whole
-    orders are built at once; the meet picks each vertex with the
-    comparison Python's max/min make, as in pair_verdicts.  So every meet
-    coordinate is one member's own coordinate: each marginal's CDF is
-    evaluated once, on the boxes' vertices, and the meet's CDF values
-    follow the same pick.  An order's probabilities are clamped_product of
-    those values, bit for bit rect_probabilities of its vertices.  The CDF
-    values of an order live only until the next order is built; the ledger
-    keeps indices, vertices and probabilities.  Raises InputError when the
-    walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    orders are built at once.  The boxes are ranked once per walk, per side
+    and axis, by the coordinate the meet keeps: the larger lower and the
+    smaller upper, and on a tie (-0.0 against 0.0 too) the smaller index,
+    the member the comparison of Python's max/min keeps, as in
+    pair_verdicts.  So a meet coordinate is its top-ranked member's own
+    coordinate: each order takes the highest rank of a row's members, and
+    gathers the vertices and, with a measure, the CDF values from tables
+    sorted by rank, each marginal's CDF evaluated once on the boxes'
+    vertices.  An order's probabilities are clamped_product of those
+    values, bit for bit rect_probabilities of its vertices.  The ranks and
+    CDF values of an order live only until the next order is built; the
+    ledger keeps indices, vertices and probabilities.  Raises InputError
+    when the walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
     """
     vertices = box_vertices(boxes)  # (N, 2, d)
     if measure is not None:
@@ -344,24 +352,30 @@ def enumerate_tuples(
         return TupleLedger(n, ids, levels)
     passes, later = _pair_mask(vertices, mode)
     roots = np.flatnonzero(passes)
-    current = vertices[roots]
+    # by_rank[r, s, j] is the place in vertices.ravel() of the box of rank r
+    # on side s, axis j.  The sort key is -lower and upper, so once reversed
+    # the box the meet keeps ranks highest, and of tied boxes the smaller
+    # index, which the stable sort put first.  slots is the inverse: a box's
+    # place in table, which orders as its rank does.
+    d = vertices.shape[2]
+    by_rank = np.argsort(vertices * [[-1.0], [1.0]], axis=0, kind="stable")[::-1]
+    by_rank = by_rank * (2 * d) + np.arange(2 * d).reshape(2, d)
+    slots = np.empty_like(by_rank)
+    slots.put(by_rank, np.arange(by_rank.size))
+    table = vertices.take(by_rank)
     if measure is not None:
-        cdfs = measure.cdf_table(vertices)  # the CDF value of every coordinate
-        current_cdfs = cdfs[roots]
+        cdfs = measure.cdf_table(table)  # the CDF value of every coordinate, by rank
+    current = slots[roots]
     for k, (indices, f, w) in enumerate(_clique_levels(later, roots, cap), 1):
         if f is not None:
-            theirs, mine = vertices[w], current[f]
-            take = np.empty(theirs.shape, dtype=bool)
-            np.greater(theirs[:, 0], mine[:, 0], out=take[:, 0])
-            np.less(theirs[:, 1], mine[:, 1], out=take[:, 1])
-            current = np.where(take, theirs, mine)
-            del theirs, mine  # before the CDF gathers, which lowers the peak
-            if measure is not None:
-                current_cdfs = np.where(take, cdfs[w], current_cdfs[f])
+            current = current[f]
+            np.maximum(current, slots[w], out=current)
+        meets = table.take(current)
         probability = None
         if measure is not None:
-            probability = clamped_product(current_cdfs[:, 0], current_cdfs[:, 1])
-        levels[k] = LedgerOrder(indices, current[:, 0], current[:, 1], probability)
+            # the two (F, d) halves of the gather, which dies with this line
+            probability = clamped_product(*cdfs.take(current).transpose(1, 0, 2))
+        levels[k] = LedgerOrder(indices, meets[:, 0], meets[:, 1], probability)
     return TupleLedger(n, ids, levels)
 
 
@@ -370,8 +384,8 @@ def _signed_total(ledger: TupleLedger) -> float:
     with fsum in deterministic (order, lexicographic) order."""
     signed = []
     for k in sorted(ledger.levels):
-        probabilities = ledger._probabilities(k)
-        signed.extend(probabilities if k % 2 == 1 else [-p for p in probabilities])
+        probability = ledger._probability_column(k)
+        signed.extend((probability if k % 2 == 1 else -probability).tolist())
     return fsum(signed)
 
 

@@ -389,6 +389,32 @@ def _ledger_measures(dim):
     return uniform, piecewise, mixed
 
 
+# Lowers on axis 0 and uppers on axis 1 alternate 0.0 and -0.0 across five
+# boxes that all meet.
+SIGNED_ZERO_TIES = [
+    Box("B0", (0.0, -1.0), (1.0, -0.0)),
+    Box("B1", (-0.0, -inf), (inf, 0.0)),
+    Box("B2", (0.0, -1.0), (2.0, -0.0)),
+    Box("B3", (-0.0, -2.0), (1.0, 0.0)),
+    Box("B4", (0.0, -0.5), (0.5, 0.0)),
+]
+# Lowers tie at 0.5 on axis 0 and uppers at 1.0 on axis 2; B2 and B3 only
+# touch on axis 1, so the modes differ.
+FINITE_TIES = [
+    Box("B0", (0.5, 0.0, -1.0), (2.0, 1.0, 1.0)),
+    Box("B1", (0.5, -1.0, 0.0), (1.5, 2.0, 1.0)),
+    Box("B2", (0.5, 0.5, -1.0), (inf, 1.0, 1.0)),
+    Box("B3", (0.5, 0.0, 0.0), (1.0, 0.5, 1.0)),
+]
+# Lowers tie at -inf and uppers at inf on axis 0, and both ends on axis 1.
+INFINITE_TIES = [
+    Box("B0", (-inf, -inf), (inf, 1.0)),
+    Box("B1", (-inf, 0.0), (inf, inf)),
+    Box("B2", (-inf, -1.0), (inf, 2.0)),
+    Box("B3", (-inf, -inf), (1.0, inf)),
+]
+
+
 def _reference_ledger(boxes, mode, max_order, measure):
     """Every nonempty tuple by brute force: (order, indices, id, lower, upper, p)."""
     rows = []
@@ -410,6 +436,17 @@ def _reference_ledger(boxes, mode, max_order, measure):
 @example([Box("A", (-0.0, -inf), (inf, 0.0)), Box("B", (0.0, -1.0), (2.0, -0.0))] * 2, CLOSED, 4, 1)
 @example([Box("A", (-1.0, 0.0, 0.0), (1.0, 2.0, 2.0)), Box("B", (0.0, 0.5, 1.0), (2.0, 1.0, inf))],
          CLOSED, 2, 3)
+# Three or more members tie on one coordinate at orders 3 and up: the walk
+# picks its meets by rank, and a tie must go to the smaller index, as the
+# strict comparison of meet_vertices keeps the first.
+@example(SIGNED_ZERO_TIES, CLOSED, 5, 0)
+@example(SIGNED_ZERO_TIES, CLOSED, 5, 2)
+@example(SIGNED_ZERO_TIES, STRICT, 5, 0)
+@example(SIGNED_ZERO_TIES, STRICT, 5, 3)
+@example(FINITE_TIES, CLOSED, 4, 0)
+@example(FINITE_TIES, STRICT, 4, 2)
+@example(INFINITE_TIES, CLOSED, 4, 1)
+@example(INFINITE_TIES, STRICT, 4, 0)
 def test_enumerate_tuples_matches_brute_force(boxes, mode, max_order, measure_kind):
     measure = None
     if boxes and measure_kind:
@@ -539,6 +576,41 @@ def test_ledger_holds_only_its_columns():
     columns = sum(len(level.indices) * (k + 2 * d + 1) * 8 for k, level in ledger.levels.items())
     # The slack covers the array headers and the ledger's small objects.
     assert held <= 1.1 * columns + 64 * 2**10
+
+
+def _dense_draw(seed, dim, n, side):
+    """n boxes in [0, 100]^dim with sides 0.6-1.4 times side, drawn as
+    perfbench's dense-ledger shapes are, without the redraw."""
+    rng = np.random.default_rng(seed)
+    sides = rng.uniform(0.6 * side, 1.4 * side, (n, dim))
+    lower = rng.uniform(0.0, 1.0, (n, dim)) * (100.0 - sides)
+    upper = (lower + sides).round(4).tolist()
+    return [Box(f"A{i}", lo, hi) for i, (lo, hi) in enumerate(zip(lower.round(4).tolist(), upper))]
+
+
+def test_ledger_rows_match_their_meets_at_the_benchmark_density():
+    # A 44-box 2-d draw under a uniform measure and a 40-box 3-d draw under
+    # piecewise-linear marginals, each with 6,000-9,000 retained terms.
+    rng = np.random.default_rng(3)
+    piecewise = ProductMeasure(tuple(
+        PiecewiseCdf((0.0, *sorted(rng.uniform(5.0, 95.0, 3).round(3)), 100.0),
+                     (0.0, 0.2, 0.45, 0.7, 1.0))
+        for _ in range(3)
+    ))
+    uniform = ProductMeasure((UniformInterval(0.0, 100.0),) * 2)
+    for boxes, measure in ((_dense_draw(7, 2, 44, 25.5), uniform),
+                           (_dense_draw(1, 3, 40, 32.0), piecewise)):
+        ledger = enumerate_tuples(boxes, STRICT, len(boxes), measure)
+        assert 6_000 <= ledger.term_count() <= 9_000
+        signed = []
+        for k in sorted(ledger.levels):
+            for entry in ledger.entries(k):
+                lower, upper = meet_vertices([boxes[i] for i in entry.indices])
+                assert (repr(entry.box.lower), repr(entry.box.upper)) == (repr(lower), repr(upper))
+                p = measure.rect_probability(lower, upper)
+                assert repr(entry.probability) == repr(p)
+                signed.append(p if k % 2 else -p)
+        assert screened_union(boxes, measure, STRICT).q == fsum(signed)
 
 
 # A non-monotone CDF would give the measure-zero meet of boxes that end
