@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -241,6 +242,25 @@ def load_document(path: str):
         # JSONDecodeError, UnicodeDecodeError, an integer literal past
         # Python's digit limit, or arrays nested past the recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _parse_file(path: str, parse):
+    """``parse(load_document(path))`` with the cyclic garbage collector paused.
+
+    Parsing allocates a Box, its tuples and lists per box while the
+    document's dicts and lists are still alive, so the collector would
+    traverse all of them again and again (on 100,000 2-d boxes half the
+    parse time); nothing made here forms a cycle that must be freed
+    before the call returns.  The collector is re-enabled only if it was
+    on.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(load_document(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _resolve_mode(args, problem: GeometryProblem) -> EmptinessMode:
@@ -530,7 +550,7 @@ def _screen_table(boxes, ledger, orders, terms_used, terms_full):
 
 def _cmd_screen(args):
     """The verdict listing, in chunks; every check is made before the first."""
-    problem = parse_geometry(load_document(args.file))
+    problem = _parse_file(args.file, parse_geometry)
     mode = _resolve_mode(args, problem)
     boxes = problem.boxes
     n = len(boxes)
@@ -550,7 +570,7 @@ def _cmd_screen(args):
 
 
 def _cmd_union(args):
-    problem = parse_geometry(load_document(args.file))
+    problem = _parse_file(args.file, parse_geometry)
     mode = _resolve_mode(args, problem)
     result = screened_union(problem.boxes, problem.measure, mode)
     return [
@@ -562,7 +582,7 @@ def _cmd_union(args):
 
 
 def _cmd_moments(args):
-    problem = parse_geometry(load_document(args.file))
+    problem = _parse_file(args.file, parse_geometry)
     mode = _resolve_mode(args, problem)
     n = len(problem.boxes)
     m = n if args.m is None else args.m
@@ -581,15 +601,20 @@ def _cmd_moments(args):
 
 def _bounds_inputs(args):
     """Geometry with its resolved mode, or moments, for the bounds subcommand."""
-    doc = load_document(args.file)
-    if isinstance(doc, dict) and "boxes" in doc:
-        problem = parse_geometry(doc)
-        return problem, _resolve_mode(args, problem), None
-    if isinstance(doc, dict) and "s" in doc:
-        if getattr(args, "mode", None):
-            raise InputError("--mode applies only to geometry input")
-        return None, None, parse_moments(doc)
-    raise InputError("input file must contain either 'boxes' (geometry) or 's' (moments)")
+
+    def parse(doc):
+        if isinstance(doc, dict) and "boxes" in doc:
+            return parse_geometry(doc)
+        if isinstance(doc, dict) and "s" in doc:
+            if getattr(args, "mode", None):
+                raise InputError("--mode applies only to geometry input")
+            return parse_moments(doc)
+        raise InputError("input file must contain either 'boxes' (geometry) or 's' (moments)")
+
+    parsed = _parse_file(args.file, parse)
+    if isinstance(parsed, MomentVector):
+        return None, None, parsed
+    return parsed, _resolve_mode(args, parsed), None
 
 
 def _cmd_bounds(args):
@@ -650,7 +675,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle(args):
-    problem = parse_geometry(load_document(args.file))
+    problem = _parse_file(args.file, parse_geometry)
     boxes, measure = problem.boxes, problem.measure
     fields = [("engine", None, args.engine)]
     if args.engine == "ie":
@@ -672,7 +697,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_graph(args):
-    problem = parse_geometry(load_document(args.file))
+    problem = _parse_file(args.file, parse_geometry)
     mode = _resolve_mode(args, problem)
     graph = build_graph(problem.boxes, mode)
     dot = to_dot(graph, [box.id for box in problem.boxes])

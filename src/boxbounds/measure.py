@@ -104,17 +104,43 @@ class PiecewiseCdf:
         return np.where(x <= knots[0], 0.0, np.where(x >= knots[-1], 1.0, inner))
 
     def ppf(self, u):
-        """Generalized inverse; flat CDF segments map to their left edge."""
-        u_arr = np.asarray(u, dtype=float)
-        values = np.asarray(self.values)
-        knots = np.asarray(self.knots)
-        idx = np.clip(np.searchsorted(values, u_arr, side="left"), 0, len(values) - 1)
-        left = np.maximum(idx - 1, 0)
-        dv = values[idx] - values[left]
-        safe = np.where(dv > 0.0, dv, 1.0)
-        t = np.where(dv > 0.0, (u_arr - values[left]) / safe, 1.0)
-        x = knots[left] + t * (knots[idx] - knots[left])
-        x = np.where(idx == 0, knots[0], x)
+        """Generalized inverse; flat CDF segments map to their left edge.
+
+        u's segment s is the first index whose value is not below u, clipped
+        to [0, L - 1] (NaN and u > 1 give L - 1): L - 1 minus the number of
+        values[:-1] that u is at most, so NaN, which compares false, counts
+        none.  Per-segment tables hold s's left value, its CDF rise, its left
+        knot and its knot width, and four gathers from them give
+        ``k_left + ((u - v_left) / rise) * width``.  A segment without rise,
+        segment 0 or a flat one, has a fixed answer instead: knots[0] for
+        segment 0, ``k_left + 1.0 * width`` for the others; its table rise and
+        width are 1 so no float operation warns, and its entries, reached
+        only by u <= 0, u > 1 or NaN, are overwritten afterwards.
+        """
+        x = np.array(u, dtype=float).reshape(-1)  # a contiguous copy, worked in place
+        knots = np.array(self.knots)
+        values = np.array(self.values)
+        left = np.maximum(np.arange(len(knots)) - 1, 0)
+        v_left, k_left = values[left], knots[left]
+        rise, width = values - v_left, knots - k_left
+        fixed = rise == 0.0
+        answer = k_left + width
+        answer[0] = knots[0]
+        last = len(values) - 1
+        # Counted in the narrowest unsigned type that holds L - 1, where a
+        # bool mask subtracts at a fifth of intp's cost, then widened once.
+        segment = np.full(x.shape, last, dtype=np.min_scalar_type(last))
+        at_most = np.empty(x.shape, dtype=bool)
+        for value in self.values[:-1]:
+            np.subtract(segment, np.less_equal(x, value, out=at_most), out=segment)
+        segment = segment.astype(np.intp)
+        x -= v_left.take(segment)
+        x /= np.where(fixed, 1.0, rise).take(segment)
+        x *= np.where(fixed, 1.0, width).take(segment)
+        x += k_left.take(segment)
+        patch = np.flatnonzero(fixed.take(segment))
+        x[patch] = answer.take(segment[patch])
+        x = x.reshape(np.shape(u))
         return x if isinstance(u, np.ndarray) else float(x)
 
 

@@ -340,3 +340,24 @@ def reference_parse_geometry(doc):
         boxes.append(Box(box_id, lower, upper))
     mode = _parse_mode(doc["mode"]) if "mode" in doc else None
     return GeometryProblem(boxes, measure, mode)
+
+
+def reference_piecewise_ppf(cdf, u):
+    """PiecewiseCdf.ppf by a clipped left searchsorted over the CDF values.
+
+    The test oracle for the table-driven kernel: u's index is the first
+    value not below it, NaN past the end, clipped to [0, L - 1]; a rising
+    segment interpolates k_left + ((u - v_left) / dv) * dk, a flat one
+    gives k_left + 1.0 * dk, and index 0 gives knots[0].
+    """
+    u_arr = np.asarray(u, dtype=float)
+    values = np.asarray(cdf.values)
+    knots = np.asarray(cdf.knots)
+    idx = np.clip(np.searchsorted(values, u_arr, side="left"), 0, len(values) - 1)
+    left = np.maximum(idx - 1, 0)
+    dv = values[idx] - values[left]
+    safe = np.where(dv > 0.0, dv, 1.0)
+    t = np.where(dv > 0.0, (u_arr - values[left]) / safe, 1.0)
+    x = knots[left] + t * (knots[idx] - knots[left])
+    x = np.where(idx == 0, knots[0], x)
+    return x if isinstance(u, np.ndarray) else float(x)

@@ -15,11 +15,17 @@ eight hand-made 3-d boxes under a different piecewise marginal per axis,
 one with a flat segment, with coordinates on knots, outside the support,
 ±0.0 and ±inf; the ledger's subcommands, the atom LP and the cell oracle
 run on it.  The Monte Carlo oracle also runs at 60,000 samples on
-``piecewise-d3.json``, on ``dense-n44-d2.json`` and on
+``piecewise-d3.json``, on ``dense-n44-d2.json``, on
 ``tests/golden/sparse-n150-d2.json``: 150 boxes in [0, 100]^2 under the
 uniform measure, drawn with ``random.Random(150)``, per box and axis a side
 ``uniform(2.5, 7.5)`` then a start ``uniform(0, 100 - side)``, both ends
-rounded to four decimals.  The recorded outputs live in
+rounded to four decimals, and on ``tests/golden/piecewise-sweep-d3.json``:
+48 boxes, enough that Monte Carlo sorts its piecewise samples, under three
+piecewise marginals, one with a flat inner segment, one with a zero-mass
+first segment and one with a flat tail, drawn with ``random.Random(48)``,
+per box and axis with support [lo, hi] a side ``uniform(0.1, 0.35)``
+times hi - lo then a start ``uniform(lo - 0.5, hi + 0.5 - side)``, both
+ends rounded to four decimals.  The recorded outputs live in
 ``tests/golden/cli_stdout.json``; regenerate them only for an intended
 output change, with
 
@@ -93,8 +99,13 @@ PIECEWISE_COMMANDS = (
     ("bounds", "--method", "boolean", "--m", "3"),
 )
 
-# Files of 8, 44 and 150 boxes, the last enough that Monte Carlo sorts.
-MC_FILES = (PIECEWISE, "tests/golden/dense-n44-d2.json", "tests/golden/sparse-n150-d2.json")
+# Files of 8, 44, 150 and 48 boxes, the last two enough that Monte Carlo sorts.
+MC_FILES = (
+    PIECEWISE,
+    "tests/golden/dense-n44-d2.json",
+    "tests/golden/sparse-n150-d2.json",
+    "tests/golden/piecewise-sweep-d3.json",
+)
 MC_COMMAND = ("--engine", "mc", "--samples", "60000", "--seed", "1")
 
 

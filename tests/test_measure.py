@@ -11,7 +11,7 @@ from boxbounds.geometry import Box
 from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from boxbounds.oracle import monte_carlo_union
 
-from helpers import ULP_KNOTS, ULP_VALUES, random_instance
+from helpers import ULP_KNOTS, ULP_VALUES, random_instance, reference_piecewise_ppf
 
 
 def test_uniform_cdf():
@@ -77,6 +77,58 @@ def test_piecewise_ppf_round_trip():
     x = m.ppf(u)
     back = np.array([m.cdf(v) for v in x])
     assert np.allclose(back, u, atol=1e-12)
+
+
+def piecewise_corpus(rng, count):
+    """count seeded CDFs with L = 2..8 knots, each kind of segment among them.
+
+    Of every four, one has a zero-mass first segment, one a flat tail and
+    one knots[0] = -0.0; about a fifth of all rises are zero, so flat inner
+    segments appear too.  The ULP case of the cdf tests joins them.
+    """
+    cdfs = [PiecewiseCdf(ULP_KNOTS, ULP_VALUES)]
+    for i in range(count - 1):
+        n_knots = int(rng.integers(2, 9))
+        rises = rng.exponential(size=n_knots - 1) * (rng.random(n_knots - 1) > 0.2)
+        if i % 4 == 0:
+            rises[0] = 0.0
+        if i % 4 == 1 and n_knots > 2:
+            rises[-1] = 0.0
+        if not rises.any():
+            rises[-1 if i % 4 == 0 else 0] = 1.0
+        values = np.minimum(np.cumsum(rises) / rises.sum(), 1.0)
+        values[-1] = 1.0
+        start = -0.0 if i % 4 == 2 else rng.uniform(-5.0, 5.0)
+        knots = start + np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 3.0, n_knots - 1))))
+        knots[0] = start
+        cdfs.append(PiecewiseCdf(tuple(knots), (0.0, *values)))
+    return cdfs
+
+
+def test_piecewise_ppf_matches_reference_bitwise():
+    rng = np.random.default_rng(26)
+    cdfs = piecewise_corpus(rng, 2000)
+    assert any(cdf.values[1] == 0.0 for cdf in cdfs)
+    assert any(cdf.values[-2] == 1.0 for cdf in cdfs)
+    assert any(np.signbit(cdf.knots[0]) for cdf in cdfs)
+    assert any(0.0 < v == w < 1.0 for cdf in cdfs for v, w in zip(cdf.values, cdf.values[1:]))
+    edges = [0.0, -0.0, float(np.nextafter(1.0, 0.0)), 1.0, -1e-300, -0.5, -inf, 1.5, inf, nan]
+    for cdf in cdfs:
+        u = np.array([*edges, *cdf.values, *rng.random(6)])
+        # a strided column of a (len(u), 3) array, like the uniform draw's
+        column = np.repeat(u[:, None], 3, axis=1)[:, 1]
+        got = cdf.ppf(column)
+        expected = reference_piecewise_ppf(cdf, column)
+        assert got.shape == column.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), cdf
+        for value in u.tolist():
+            scalar = cdf.ppf(value)
+            assert type(scalar) is float
+            expected = np.float64(reference_piecewise_ppf(cdf, value)).view(np.int64)
+            assert np.float64(scalar).view(np.int64) == expected, (cdf, value)
+            zero_d = cdf.ppf(np.array(value))
+            assert zero_d.shape == ()
+            assert zero_d.view(np.int64) == expected, (cdf, value)
 
 
 def test_box_probability_examples():

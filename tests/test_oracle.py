@@ -414,18 +414,30 @@ def test_monte_carlo_with_faces_on_sampled_points_matches_broadcast_reference(
 
 
 def test_monte_carlo_sweep_memory():
-    # Sampling sets the peak: 28.0 MiB at _MC_CHUNK samples in 3-d, the
-    # uniform draw and the points at 12 MiB each and one marginal's
-    # quantiles at 4 MiB.
+    # Sampling sets the peak at _MC_CHUNK samples in 3-d, the uniform draw
+    # and the points at 12 MiB each: 28.0 MiB under uniform marginals, with
+    # one marginal's quantiles at 4 MiB, and 36.5 MiB under piecewise ones,
+    # where one marginal's ppf holds its contiguous copy of the column, which
+    # becomes the quantiles (4 MiB), the intp segment index (4 MiB), one
+    # gathered table column (4 MiB) and the one-byte comparison mask
+    # (0.5 MiB).
     rng = np.random.default_rng(5)
     lower = rng.uniform(0.0, 0.9, size=(100, 3))
     boxes = [Box(f"A{i + 1}", lo, lo + 0.05) for i, lo in enumerate(lower)]
     assert len(boxes) >= oracle._MC_SWEEP_BOXES
-    measure = ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3)
-    tracemalloc.start()
-    try:
-        monte_carlo_union(boxes, measure, _MC_CHUNK, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 28.0 * 2**20
+    piecewise = (
+        PiecewiseCdf((0.0, 0.2, 0.5, 1.0), (0.0, 0.3, 0.3, 1.0)),
+        PiecewiseCdf((-0.0, 0.1, 1.0), (0.0, 0.0, 1.0)),
+        PiecewiseCdf((0.0, 0.4, 0.9, 1.0), (0.0, 0.6, 1.0, 1.0)),
+    )
+    for measure, peak_mib in (
+        (ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3), 28.0),
+        (ProductMeasure(piecewise), 36.5),
+    ):
+        tracemalloc.start()
+        try:
+            monte_carlo_union(boxes, measure, _MC_CHUNK, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * peak_mib * 2**20, measure

@@ -7,12 +7,14 @@ the reference's boxes bit for bit, or its message.
 """
 
 import copy
+import gc
 import json
 import re
 
 import numpy as np
 import pytest
 
+from boxbounds import cli
 from boxbounds.cli import parse_geometry, run
 from boxbounds.errors import InputError
 
@@ -215,3 +217,37 @@ def test_corpus_matches_reference():
         assert repr(doc) == before, f"seed {seed}: the document changed"
     assert set(outcomes) == {"valid", *MESSAGE_KINDS}
     assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_file_parse_pauses_the_collector(capsys, tmp_path, enabled):
+    # Off while a file is read and parsed, and afterwards, after a fault
+    # too, on exactly when it was on before.
+    seen = []
+
+    def spy(doc):
+        seen.append(gc.isenabled())
+        return parse_geometry(doc)
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_doc(_box("A"), _box("B"))))
+    bad.write_text(json.dumps(_doc(_box("A"), _box("A"))))
+    moments = tmp_path / "moments.json"
+    moments.write_text(json.dumps({"n_events": 2, "s": [0.5]}))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert [box.id for box in cli._parse_file(str(good), spy).boxes] == ["A", "B"]
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="duplicate box id 'A'"):
+            cli._parse_file(str(bad), spy)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="cannot read"):
+            cli._parse_file(str(tmp_path / "missing.json"), spy)
+        assert gc.isenabled() is enabled
+        assert run(["bounds", str(moments), "--mode", "closed"]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False, False]
+    assert capsys.readouterr().err == "error: --mode applies only to geometry input\n"
