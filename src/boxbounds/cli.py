@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, repeat
@@ -244,23 +245,28 @@ def load_document(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_file(path: str, parse):
-    """``parse(load_document(path))`` with the cyclic garbage collector paused.
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, re-enabling it only if it was on.
 
     Parsing allocates a Box, its tuples and lists per box while the
     document's dicts and lists are still alive, so the collector would
     traverse all of them again and again (on 100,000 2-d boxes half the
-    parse time); nothing made here forms a cycle that must be freed
-    before the call returns.  The collector is re-enabled only if it was
-    on.
+    parse time); nothing made while loading and parsing forms a cycle that
+    must be freed before the command returns.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return parse(load_document(path))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _load_geometry(path: str) -> GeometryProblem:
+    with _collector_paused():
+        return parse_geometry(load_document(path))
 
 
 def _resolve_mode(args, problem: GeometryProblem) -> EmptinessMode:
@@ -550,7 +556,7 @@ def _screen_table(boxes, ledger, orders, terms_used, terms_full):
 
 def _cmd_screen(args):
     """The verdict listing, in chunks; every check is made before the first."""
-    problem = _parse_file(args.file, parse_geometry)
+    problem = _load_geometry(args.file)
     mode = _resolve_mode(args, problem)
     boxes = problem.boxes
     n = len(boxes)
@@ -570,7 +576,7 @@ def _cmd_screen(args):
 
 
 def _cmd_union(args):
-    problem = _parse_file(args.file, parse_geometry)
+    problem = _load_geometry(args.file)
     mode = _resolve_mode(args, problem)
     result = screened_union(problem.boxes, problem.measure, mode)
     return [
@@ -582,7 +588,7 @@ def _cmd_union(args):
 
 
 def _cmd_moments(args):
-    problem = _parse_file(args.file, parse_geometry)
+    problem = _load_geometry(args.file)
     mode = _resolve_mode(args, problem)
     n = len(problem.boxes)
     m = n if args.m is None else args.m
@@ -601,20 +607,16 @@ def _cmd_moments(args):
 
 def _bounds_inputs(args):
     """Geometry with its resolved mode, or moments, for the bounds subcommand."""
-
-    def parse(doc):
+    with _collector_paused():
+        doc = load_document(args.file)
         if isinstance(doc, dict) and "boxes" in doc:
-            return parse_geometry(doc)
+            problem = parse_geometry(doc)
+            return problem, _resolve_mode(args, problem), None
         if isinstance(doc, dict) and "s" in doc:
             if getattr(args, "mode", None):
                 raise InputError("--mode applies only to geometry input")
-            return parse_moments(doc)
+            return None, None, parse_moments(doc)
         raise InputError("input file must contain either 'boxes' (geometry) or 's' (moments)")
-
-    parsed = _parse_file(args.file, parse)
-    if isinstance(parsed, MomentVector):
-        return None, None, parsed
-    return parsed, _resolve_mode(args, parsed), None
 
 
 def _cmd_bounds(args):
@@ -675,7 +677,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle(args):
-    problem = _parse_file(args.file, parse_geometry)
+    problem = _load_geometry(args.file)
     boxes, measure = problem.boxes, problem.measure
     fields = [("engine", None, args.engine)]
     if args.engine == "ie":
@@ -697,7 +699,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_graph(args):
-    problem = _parse_file(args.file, parse_geometry)
+    problem = _load_geometry(args.file)
     mode = _resolve_mode(args, problem)
     graph = build_graph(problem.boxes, mode)
     dot = to_dot(graph, [box.id for box in problem.boxes])

@@ -106,16 +106,19 @@ class PiecewiseCdf:
     def ppf(self, u):
         """Generalized inverse; flat CDF segments map to their left edge.
 
-        u's segment s is the first index whose value is not below u, clipped
-        to [0, L - 1] (NaN and u > 1 give L - 1): L - 1 minus the number of
-        values[:-1] that u is at most, so NaN, which compares false, counts
-        none.  Per-segment tables hold s's left value, its CDF rise, its left
-        knot and its knot width, and four gathers from them give
-        ``k_left + ((u - v_left) / rise) * width``.  A segment without rise,
-        segment 0 or a flat one, has a fixed answer instead: knots[0] for
-        segment 0, ``k_left + 1.0 * width`` for the others; its table rise and
-        width are 1 so no float operation warns, and its entries, reached
-        only by u <= 0, u > 1 or NaN, are overwritten afterwards.
+        u's segment s is the number of values[:-1] that u is not at most
+        (NaN, which compares false, passes them all): the clipped left
+        searchsorted of u in values.  A binary search in which every u takes
+        the same halving steps finds it in log2(L) passes of one gather and
+        one comparison; searchsorted branches per element, and on uniform u
+        those branches mispredict.  Per-segment tables hold s's left value,
+        its CDF rise, its left knot and its knot width, and four gathers
+        from them give ``k_left + ((u - v_left) / rise) * width``.  A segment
+        without rise, segment 0 or a flat one, has a fixed answer instead:
+        knots[0] for segment 0, ``k_left + 1.0 * width`` for the others; its
+        table rise and width are 1 so no float operation warns, and its
+        entries, reached only by u <= 0, u > 1 or NaN, are overwritten
+        afterwards.
         """
         x = np.array(u, dtype=float).reshape(-1)  # a contiguous copy, worked in place
         knots = np.array(self.knots)
@@ -126,14 +129,18 @@ class PiecewiseCdf:
         fixed = rise == 0.0
         answer = k_left + width
         answer[0] = knots[0]
-        last = len(values) - 1
-        # Counted in the narrowest unsigned type that holds L - 1, where a
-        # bool mask subtracts at a fifth of intp's cost, then widened once.
-        segment = np.full(x.shape, last, dtype=np.min_scalar_type(last))
+        segment = np.zeros(x.shape, dtype=np.intp)
         at_most = np.empty(x.shape, dtype=bool)
-        for value in self.values[:-1]:
-            np.subtract(segment, np.less_equal(x, value, out=at_most), out=segment)
-        segment = segment.astype(np.intp)
+        span = len(values) - 1  # s lies in [segment, segment + span]
+        while span > 1:
+            half = span // 2
+            np.less_equal(x, values[half:].take(segment), out=at_most)
+            segment += half
+            segment -= at_most * half
+            span -= half
+        np.less_equal(x, values.take(segment), out=at_most)
+        segment += 1
+        segment -= at_most
         x -= v_left.take(segment)
         x /= np.where(fixed, 1.0, rise).take(segment)
         x *= np.where(fixed, 1.0, width).take(segment)

@@ -419,8 +419,8 @@ def test_monte_carlo_sweep_memory():
     # one marginal's quantiles at 4 MiB, and 36.5 MiB under piecewise ones,
     # where one marginal's ppf holds its contiguous copy of the column, which
     # becomes the quantiles (4 MiB), the intp segment index (4 MiB), one
-    # gathered table column (4 MiB) and the one-byte comparison mask
-    # (0.5 MiB).
+    # gathered column of CDF values or of a table, or one scaled mask
+    # (4 MiB), and the one-byte comparison mask (0.5 MiB).
     rng = np.random.default_rng(5)
     lower = rng.uniform(0.0, 0.9, size=(100, 3))
     boxes = [Box(f"A{i + 1}", lo, lo + 0.05) for i, lo in enumerate(lower)]

@@ -220,7 +220,7 @@ def test_corpus_matches_reference():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_file_parse_pauses_the_collector(capsys, tmp_path, enabled):
+def test_file_parse_pauses_the_collector(capsys, monkeypatch, tmp_path, enabled):
     # Off while a file is read and parsed, and afterwards, after a fault
     # too, on exactly when it was on before.
     seen = []
@@ -229,6 +229,7 @@ def test_file_parse_pauses_the_collector(capsys, tmp_path, enabled):
         seen.append(gc.isenabled())
         return parse_geometry(doc)
 
+    monkeypatch.setattr(cli, "parse_geometry", spy)
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_doc(_box("A"), _box("B"))))
     bad.write_text(json.dumps(_doc(_box("A"), _box("A"))))
@@ -237,17 +238,19 @@ def test_file_parse_pauses_the_collector(capsys, tmp_path, enabled):
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        assert [box.id for box in cli._parse_file(str(good), spy).boxes] == ["A", "B"]
+        assert [box.id for box in cli._load_geometry(str(good)).boxes] == ["A", "B"]
         assert gc.isenabled() is enabled
         with pytest.raises(InputError, match="duplicate box id 'A'"):
-            cli._parse_file(str(bad), spy)
+            cli._load_geometry(str(bad))
         assert gc.isenabled() is enabled
         with pytest.raises(InputError, match="cannot read"):
-            cli._parse_file(str(tmp_path / "missing.json"), spy)
+            cli._load_geometry(str(tmp_path / "missing.json"))
+        assert gc.isenabled() is enabled
+        assert run(["bounds", str(good), "--method", "hunter-worsley"]) == 0
         assert gc.isenabled() is enabled
         assert run(["bounds", str(moments), "--mode", "closed"]) == 1
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
-    assert seen == [False, False]
+    assert seen == [False, False, False]
     assert capsys.readouterr().err == "error: --mode applies only to geometry input\n"
