@@ -107,6 +107,16 @@ MC_FILES = (
     "tests/golden/piecewise-sweep-d3.json",
 )
 MC_COMMAND = ("--engine", "mc", "--samples", "60000", "--seed", "1")
+DENSE = "tests/golden/dense-n44-d2.json"
+# The ledger's subcommands on the dense file, whose walk keeps 8,429 terms
+# over 10 orders; its screen is large, so test_dense_screen_digest checks it.
+DENSE_COMMANDS = (
+    ("union",),
+    ("moments",),
+    ("moments", "--m", "3"),
+    ("bounds", "--m", "3"),
+    ("bounds", "--with-q", "--target", "atleast", "--r", "2"),
+)
 
 
 def moment_commands(m, r):
@@ -149,6 +159,9 @@ def cases():
     for path in MC_FILES:
         for fmt in FORMATS:
             out.append(["oracle", path, *MC_COMMAND, "--format", fmt])
+    for fmt in FORMATS:
+        for command, *rest in DENSE_COMMANDS:
+            out.append([command, DENSE, *rest, "--format", fmt])
     for name, m, r in MOMENTS:
         path = f"tests/golden/{name}.json"
         for fmt in FORMATS:
@@ -224,6 +237,22 @@ def test_sparse_screen_digest(tmp_path, fmt):
     code, stdout = invoke(["screen", str(path), "--format", fmt])
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == SPARSE_SCREEN_SHA256[fmt]
+
+
+# sha256 of screen --max-order 3 on the dense golden (946 pair rows and
+# every nonempty triple; the JSON is about 500 KB), recorded before the
+# walk built its ledger columns on first read.
+DENSE_SCREEN_SHA256 = {
+    "json": "d64fb1c6496379af9c0a464beae6586deac1ac85022b41602fdd780cefdbf744",
+    "table": "21c7c07be890e2f7ecf67532ae038d9a42ad0627e7e29032c4d74515d85b71b2",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_dense_screen_digest(fmt):
+    code, stdout = invoke(["screen", DENSE, "--max-order", "3", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DENSE_SCREEN_SHA256[fmt]
 
 
 @pytest.mark.parametrize("block_rows", (1, 3))
