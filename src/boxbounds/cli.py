@@ -36,7 +36,7 @@ from .bounding import (
     union_bounds,
 )
 from .errors import InfeasibleBoundsError, InputError
-from .geometry import Box, EmptinessMode, box_vertices, boxes_from_vertices
+from .geometry import Box, EmptinessMode, boxes_from_vertices
 from .measure import PiecewiseCdf, ProductMeasure, UniformInterval
 from .oracle import (
     exact_count_distribution,
@@ -392,56 +392,38 @@ def _order_blocks(n, ledger, k, step):
         yield (first, position - offsets[first] + first + 1), nonempty
 
 
-def _meet_source(members, values, later_wins):
-    """Per row, the member box whose coordinate on one axis the meet takes.
-
-    values holds each box's coordinate on that axis.  A later member takes
-    over only where later_wins (np.greater for lower vertices, np.less for
-    upper ones) holds strictly, the comparison the walk's meet makes, so
-    each coordinate keeps the sign of zero of the box that supplies it.
-    """
-    source = members[0]
-    for later in members[1:]:
-        source = np.where(later_wins(values[later], values[source]), later, source)
-    return source
-
-
-def _row_pieces(members, lowers, uppers, layout) -> list:
+def _row_pieces(members, ranks, layout) -> list:
     """One block's rows as fragment pool indices, one array per row piece.
 
-    The pool holds runs of N per-box fragments: one run per axis of the
-    lower vertices, one per axis of the upper ones (lowers and uppers are
-    the vertices, ``(d, N)``), then one per kind of member fragment.
-    layout gives, per group of member pieces, the kinds of the first, the
-    middle and the last member's fragments.  A coordinate piece is the
-    fragment of the box the meet takes it from.
+    The pool holds the coordinate fragments in the order of the ranks'
+    table, then runs of N per-box fragments, one per kind of member
+    fragment.  layout gives, per group of member pieces, the kinds of the
+    first, the middle and the last member's fragments.  The coordinate
+    pieces are the places of the row's meet in the table, lower vertex
+    first.
     """
-    d, n = lowers.shape
+    slots = ranks.slots
     pieces = []
     for first, middle, last in layout:
         kinds = (first, *[middle] * (len(members) - 2), last)
-        pieces += [(2 * d + kind) * n + member for kind, member in zip(kinds, members)]
-    for run, values in enumerate((*lowers, *uppers)):
-        pieces.append(run * n + _meet_source(members, values, np.greater if run < d else np.less))
-    return pieces
+        pieces += [slots.size + kind * len(slots) + member for kind, member in zip(kinds, members)]
+    return pieces + list(ranks.places(members).reshape(len(members[0]), -1).T)
 
 
-def _fragment_pool(boxes, texts, item, closes, kinds):
-    """The vertices as ``(d, N)`` views, and the fragment pool as a list.
+def _fragment_pool(ranks, texts, item, closes, kinds):
+    """The fragment pool as a list: the coordinates of the ranks' table,
+    then kinds, the runs of per-box member fragments.
 
     Each coordinate's text carries item after it, or, on the last axis,
-    its vertex's entry of closes.  kinds lists the runs of per-box member
-    fragments.
+    its vertex's entry of closes.
     """
-    lowers, uppers = np.moveaxis(box_vertices(boxes), 0, -1)
-    pool = []
-    for values, close in zip((lowers, uppers), closes):
-        for a, column in enumerate(texts(values).tolist()):
-            suffix = close if a == len(values) - 1 else item
-            pool += [text + suffix for text in column]
+    table = ranks.table
+    suffixes = np.full(table.shape[1:], item, dtype=object)
+    suffixes[:, -1] = closes
+    pool = (texts(table) + suffixes).ravel().tolist()
     for kind in kinds:
         pool += kind
-    return lowers, uppers, pool
+    return pool
 
 
 # The constant text around the fields of one row of the screen document,
@@ -483,9 +465,8 @@ def _screen_json(mode, boxes, ledger, orders, terms_used, terms_full):
             [text + _JSON_ITEM for text in encoded],
             [text + after_ids for text in encoded],
         )
-        lowers, uppers, pool = _fragment_pool(
-            boxes, _json_texts, _JSON_ITEM, (after_lower, after_upper), kinds
-        )
+        closes = (after_lower, after_upper)
+        pool = _fragment_pool(ledger.ranks, _json_texts, _JSON_ITEM, closes, kinds)
         verdicts = len(pool)
         pool = np.array(pool + ["false" + after_verdict, "true" + after_verdict], dtype=object)
         layout = ((0, 1, 2), (3, 3, 4))
@@ -493,7 +474,7 @@ def _screen_json(mode, boxes, ledger, orders, terms_used, terms_full):
             yield ("{\n" if k == orders[0] else "\n    ],\n") + f'    "{k}": [\n      '
             blocks = _order_blocks(len(boxes), ledger, k, _SCREEN_BLOCK_ROWS)
             for b, (members, nonempty) in enumerate(blocks):
-                pieces = _row_pieces(members, lowers, uppers, layout)
+                pieces = _row_pieces(members, ledger.ranks, layout)
                 pieces.append(verdicts + nonempty)
                 text = "".join(pool[np.column_stack(pieces)].ravel().tolist())
                 yield text if b else text[len(_JSON_ROW_SEP) :]
@@ -518,14 +499,14 @@ def _screen_table(boxes, ledger, orders, terms_used, terms_full):
     if orders:
         ids = [box.id for box in boxes]
         kinds = (ids, [text + " = [(" for text in ids])
-        lowers, uppers, pool = _fragment_pool(boxes, _table_texts, ", ", ("), (", ")]"), kinds)
+        pool = _fragment_pool(ledger.ranks, _table_texts, ", ", ("), (", ")]"), kinds)
         lengths = np.fromiter(map(len, pool), dtype=np.intp, count=len(pool))
         pool = np.array(pool, dtype=object)
         layout = ((0, 0, 1),)
 
         def blocks(k):
             for members, nonempty in _order_blocks(len(boxes), ledger, k, _TABLE_BLOCK_ROWS):
-                pieces = _row_pieces(members, lowers, uppers, layout)
+                pieces = _row_pieces(members, ledger.ranks, layout)
                 yield pieces, sum(lengths[piece] for piece in pieces), nonempty
 
         for k in orders:
@@ -567,7 +548,7 @@ def _cmd_screen(args):
     _check_screen_rows(pairs)  # before the walk builds its (N, N) pair mask
     ledger = enumerate_tuples(boxes, mode, n)
     higher = [k for k in sorted(ledger.levels) if 3 <= k <= max_order]
-    _check_screen_rows(pairs + sum(len(ledger.levels[k].indices) for k in higher))
+    _check_screen_rows(pairs + sum(len(ledger.levels[k]) for k in higher))
     orders = ([2] if pairs else []) + higher
     terms = (ledger.term_count(), 2**n - 1)
     if args.format == "json":

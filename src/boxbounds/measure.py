@@ -47,6 +47,15 @@ class UniformInterval:
         """Quantile function; accepts scalars or numpy arrays."""
         return self.a + u * (self.b - self.a)
 
+    def _quantiles_into(self, x: np.ndarray) -> None:
+        """ppf of every entry of a float array, written over it.
+
+        The product then the sum ppf makes; IEEE addition commutes, so
+        adding a second gives the same bits.
+        """
+        x *= self.b - self.a
+        x += self.a
+
 
 @dataclass(frozen=True)
 class PiecewiseCdf:
@@ -121,6 +130,12 @@ class PiecewiseCdf:
         afterwards.
         """
         x = np.array(u, dtype=float).reshape(-1)  # a contiguous copy, worked in place
+        self._quantiles_into(x)
+        x = x.reshape(np.shape(u))
+        return x if isinstance(u, np.ndarray) else float(x)
+
+    def _quantiles_into(self, x: np.ndarray) -> None:
+        """ppf of every entry of a contiguous 1-D float array, written over it."""
         knots = np.array(self.knots)
         values = np.array(self.values)
         left = np.maximum(np.arange(len(knots)) - 1, 0)
@@ -147,8 +162,6 @@ class PiecewiseCdf:
         x += k_left.take(segment)
         patch = np.flatnonzero(fixed.take(segment))
         x[patch] = answer.take(segment[patch])
-        x = x.reshape(np.shape(u))
-        return x if isinstance(u, np.ndarray) else float(x)
 
 
 Marginal = Union[UniformInterval, PiecewiseCdf]
@@ -249,12 +262,12 @@ class ProductMeasure:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size-by-n array of points drawn by per-coordinate inverse transform.
 
-        Marginal k's quantiles of column k of the uniform draw fill row k of
-        one ``(n, size)`` array, and its transpose is returned: a view whose
-        columns are contiguous, so ``.T`` gives rows without a copy.
+        Column k of the uniform draw is copied into row k of one ``(n,
+        size)`` array, the draw dies, and marginal k overwrites the row with
+        its quantiles.  The transpose is returned: a view whose columns are
+        contiguous, so ``.T`` gives rows without a copy.
         """
-        u = rng.random((size, self.dimension))
-        points = np.empty((self.dimension, size))
-        for k, marginal in enumerate(self.marginals):
-            points[k] = marginal.ppf(u[:, k])
+        points = rng.random((size, self.dimension)).T.copy()
+        for row, marginal in zip(points, self.marginals):
+            marginal._quantiles_into(row)
         return points.T

@@ -11,6 +11,8 @@ property, so graph cliques and nonempty tuples coincide).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from math import fsum
 from typing import NamedTuple, Sequence
 
@@ -53,32 +55,157 @@ class TupleEntry:
     probability: float | None = None
 
 
-class LedgerOrder(NamedTuple):
-    """The surviving tuples of one order k as columns, row f being one tuple.
+class MeetRanks(NamedTuple):
+    """The boxes' coordinates ranked by which one a meet keeps.
 
-    ``indices`` is ``(F, k)``, ``lower``/``upper`` are ``(F, d)`` and hold
-    the intersection vertices (enumerate_tuples gives the two halves of one
-    ``(F, 2, d)`` array), ``probability`` is ``(F,)`` or None when the
-    ledger was built without a measure.  Rows are in lexicographic order.
+    ``table`` holds the ``(N, 2, d)`` vertices sorted, per side and axis,
+    so that rank r's box supplies place ``(r, side, axis)``: the larger
+    lower and the smaller upper rank higher, and of tied boxes (-0.0
+    against 0.0 too) the smaller index, the member the comparison of
+    Python's max/min keeps.  ``slots[i, side, axis]`` is the flat place in
+    table of box i's coordinate, so a meet coordinate sits at its members'
+    highest slot.
     """
 
-    indices: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    probability: np.ndarray | None
+    slots: np.ndarray
+    table: np.ndarray
+
+    def places(self, members) -> np.ndarray:
+        """Per row, the place in table of each meet coordinate, ``(B, 2, d)``.
+
+        members holds k index arrays of length B, array c holding the c-th
+        member of each row.
+        """
+        top = self.slots[members[0]]
+        for member in members[1:]:
+            np.maximum(top, self.slots[member], out=top)
+        return top
+
+    def meets(self, members) -> np.ndarray:
+        """The ``(B, 2, d)`` intersection vertices of the rows of members."""
+        return self.table.take(self.places(members))
+
+
+def _meet_ranks(vertices: np.ndarray) -> MeetRanks:
+    """Ranks of the ``(N, 2, d)`` vertices; see MeetRanks for the order."""
+    # by_rank[r, s, j] is the place in vertices.ravel() of the box of rank r
+    # on side s, axis j.  The sort key is -lower and upper, so once reversed
+    # the box the meet keeps ranks highest, and of tied boxes the smaller
+    # index, which the stable sort put first.  slots is the inverse.
+    d = vertices.shape[2]
+    by_rank = np.argsort(vertices * [[-1.0], [1.0]], axis=0, kind="stable")[::-1]
+    by_rank = by_rank * (2 * d) + np.arange(2 * d).reshape(2, d)
+    slots = np.empty_like(by_rank)
+    slots.put(by_rank, np.arange(by_rank.size))
+    return MeetRanks(slots, vertices.take(by_rank))
+
+
+class LedgerOrder:
+    """The surviving tuples of one order k, row r being one tuple.
+
+    The walk keeps three columns: ``f``, the row of order k-1 that row r
+    extends, ``w``, the box it adds (at order 1 ``f`` is None and ``w`` is
+    the box itself), and ``probability``, ``(F,)`` or None when the ledger
+    was built without a measure; 24 bytes a row with a measure.
+    ``indices``, ``(F, k)``, and the intersection vertices ``lower`` and
+    ``upper``, ``(F, d)``, are built on first read and kept: indices from
+    the parent order's, the vertices by one take from the ranks' table at
+    the members' highest slot.  Rows are in lexicographic order.
+    """
+
+    def __init__(self, parent, f, w, probability, ranks) -> None:
+        self.parent = parent
+        self.f = f
+        self.w = w
+        self.probability = probability
+        self.ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        if self.parent is None:
+            return self.w[:, None]
+        return np.column_stack((self.parent.indices[self.f], self.w))
+
+    @cached_property
+    def _meets(self) -> np.ndarray:
+        return self.ranks.meets(self.indices.T)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._meets[:, 0]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._meets[:, 1]
+
+
+# Bits of the two low chunks of a 53-bit integer mantissa in exact_bins.
+# At most 26, so the signed rest is split off by exact float steps.
+_CHUNK_BITS = 18
+
+
+def exact_bins(values: np.ndarray, groups: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Per group, floats whose exact sum is that of the group's values.
+
+    The small superaccumulator of Neal (arXiv:1505.05571): each value is a
+    53-bit integer mantissa times a power of two, split by exact float
+    operations into bits 0-17, bits 18-35 and the signed rest, and one
+    bincount per chunk sums them per group and power of two.  A chunk is
+    below 2**18 in size, so a bin of fewer than 2**33 values stays an
+    exact integer below 2**53, and its float (the power applied, exact too:
+    every chunk is a multiple of the smallest subnormal) needs no
+    rounding.  So fsum of a group's bins is fsum of its values, provided no
+    bin overflows, as none can when every |value| is at most 1.  Zero bins
+    are left out.
+    """
+    if not len(values):
+        return [np.empty(0)] * n_groups
+    bits = _CHUNK_BITS
+    chunk, exponent = np.frexp(values)  # value = chunk * 2**exponent, |chunk| < 1
+    lowest = int(exponent.min())
+    # A group's keys leave room for the middle and high chunks' shifts.
+    span = int(exponent.max()) - lowest + 2 * bits + 1
+    key = groups * span
+    key += exponent
+    key -= lowest
+    # The chunks, integers once scaled, peeled off from the top by floors
+    # and subtractions, all exact: high holds the signed rest, middle bits
+    # 18-35 and chunk bits 0-17, in units of 2**(exponent - 53) shifted
+    # up by 2 * bits, bits and none.
+    chunk *= 2.0 ** (53 - 2 * bits)
+    high = np.floor(chunk)
+    chunk -= high
+    chunk *= 2.0**bits
+    middle = np.floor(chunk)
+    chunk -= middle
+    chunk *= 2.0**bits
+    size = n_groups * span
+    totals = np.bincount(key, weights=chunk, minlength=size)
+    totals[bits:] += np.bincount(key, weights=middle, minlength=size)[:-bits]
+    totals[2 * bits :] += np.bincount(key, weights=high, minlength=size)[: -2 * bits]
+    nonzero = np.flatnonzero(totals)
+    floats = np.ldexp(totals[nonzero], nonzero % span + (lowest - 53))
+    return np.split(floats, np.searchsorted(nonzero, np.arange(1, n_groups) * span))
 
 
 @dataclass(frozen=True)
 class TupleLedger:
-    """Surviving tuples per order k, stored as columns, rows lexicographic.
+    """Surviving tuples per order k, rows lexicographic, with their ranks.
 
     Only orders with at least one surviving tuple are stored.  ``entries``
-    builds row objects on demand; the counts and sums read the columns.
+    builds row objects on demand; the counts read row counts.  The order
+    sums S_k and the alternating total come from one exact pass over every
+    probability (exact_bins), made on first use and kept: each equals
+    fsum of its terms.  ``ranks`` is None only when no order was walked.
     """
 
     n_events: int
     ids: tuple[str, ...]
     levels: dict[int, LedgerOrder] = field(default_factory=dict)
+    ranks: MeetRanks | None = None
 
     def entries(self, order: int) -> list[TupleEntry]:
         """Row objects of one order, built on each call; [] for an absent order."""
@@ -86,9 +213,7 @@ class TupleLedger:
         if level is None:
             return []
         probabilities = (
-            [None] * len(level.indices)
-            if level.probability is None
-            else level.probability.tolist()
+            [None] * len(level) if level.probability is None else level.probability.tolist()
         )
         return [
             TupleEntry(
@@ -104,7 +229,7 @@ class TupleLedger:
         return max(self.levels, default=0)
 
     def term_count(self) -> int:
-        return sum(len(level.indices) for level in self.levels.values())
+        return sum(map(len, self.levels.values()))
 
     def _probability_column(self, order: int) -> np.ndarray:
         level = self.levels.get(order)
@@ -120,9 +245,26 @@ class TupleLedger:
         indices = [] if level is None else map(tuple, level.indices.tolist())
         return dict(zip(indices, self._probability_column(order).tolist()))
 
+    @cached_property
+    def _sums(self) -> tuple[dict[int, float], float]:
+        """({k: S_k}, the alternating total), each fsum of its terms."""
+        orders = sorted(self.levels)
+        columns = [self._probability_column(k) for k in orders]
+        groups = np.repeat(np.arange(len(orders)), list(map(len, columns)))
+        bins = exact_bins(np.concatenate([np.empty(0), *columns]), groups, len(orders))
+        signed = [(b if k % 2 else -b).tolist() for k, b in zip(orders, bins)]
+        return dict(zip(orders, (fsum(b.tolist()) for b in bins))), fsum(chain(*signed))
+
     def order_sum(self, order: int) -> float:
         """Probability total over the surviving tuples of one order."""
-        return fsum(self._probability_column(order).tolist())
+        if order not in self.levels:
+            return 0.0
+        return self._sums[0][order]
+
+    def signed_total(self) -> float:
+        """The alternating inclusion-exclusion total, S_1 - S_2 + S_3 - ...,
+        summed exactly over every term."""
+        return self._sums[1]
 
 
 @dataclass(frozen=True)
@@ -208,16 +350,14 @@ def build_graph(boxes: Sequence[Box], mode: EmptinessMode) -> IntersectionGraph:
 def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdict]:
     """One row per index pair, in lexicographic order, including failures.
 
-    The meet takes the later box's coordinate only when it is strictly
-    larger (lower) or smaller (upper), the comparison Python's max/min
-    make, so ties between 0.0 and -0.0 keep the sign meet_vertices keeps.
+    The meets are read from the boxes' MeetRanks, so ties between 0.0 and
+    -0.0 keep the sign meet_vertices keeps.
     """
     vertices = box_vertices(boxes)
-    lowers, uppers = vertices[:, 0], vertices[:, 1]
     first, second = np.triu_indices(len(boxes), 1)
     nonempty = _pair_mask(vertices, mode)[1][first, second]
-    lower = np.where(lowers[second] > lowers[first], lowers[second], lowers[first])
-    upper = np.where(uppers[second] < uppers[first], uppers[second], uppers[first])
+    meets = _meet_ranks(vertices).meets((first, second))
+    lower, upper = meets[:, 0], meets[:, 1]
     ids = [box.id for box in boxes]
     return [
         TupleVerdict((i, j), ids[i] + ids[j], tuple(lo), tuple(hi), verdict)
@@ -228,7 +368,8 @@ def pair_verdicts(boxes: Sequence[Box], mode: EmptinessMode) -> list[TupleVerdic
 
 
 # Terms a ledger or clique walk may hold before it stops with an InputError.
-# A kept term of order k in d dimensions takes (k + 2d + 1) * 8 bytes.
+# A kept term takes 3 * 8 bytes (its parent row, its added box and its
+# probability) until its indices or vertices are read.
 TERM_BUDGET = 1_000_000
 # Bytes the gather of one order's candidate masks may allocate: one byte
 # per event and term, counted three times over.  The walk holds two such
@@ -239,25 +380,23 @@ MASK_BYTE_BUDGET = 128 * 2**20
 def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int):
     """Cliques of orders 1..cap whose smallest vertex is one of the roots.
 
-    Yields ``(indices, f, w)`` per nonempty order k: ``indices`` is the
-    ``(F, k)`` index array, rows in lexicographic order, and row r of it
-    extends row ``f[r]`` of order k-1 by vertex ``w[r]`` (``f`` and ``w``
-    are None at order 1).  Each row keeps a mask of the later vertices
-    adjacent to all of its members; order k+1 extends row f by every such
-    vertex w in row-major order, which keeps the rows lexicographic.  The
-    last order of a capped walk gathers no mask.  Stops with an InputError
+    Yields ``(f, w)`` per nonempty order k, rows in lexicographic order:
+    row r extends row ``f[r]`` of order k-1 by vertex ``w[r]`` (at order 1
+    ``f`` is None and ``w`` the roots).  Each row keeps a mask of the
+    later vertices adjacent to all of its members; order k+1 extends row f
+    by every such vertex w in row-major order, which keeps the rows
+    lexicographic.  The last order of a capped walk gathers no mask.  Stops with an InputError
     before an order whose candidates would take the walk past TERM_BUDGET
     terms, or before a mask gather past MASK_BYTE_BUDGET.
     """
-    indices = roots[:, None]
-    f = w = None
+    f, w = None, roots
     cand = later[roots]
     kept = 0
     for k in range(1, cap + 1):
-        if not len(indices):
+        if not len(w):
             return
-        yield indices, f, w
-        kept += len(indices)
+        yield f, w
+        kept += len(w)
         if k == cap:
             return
         pending = int(np.count_nonzero(cand))
@@ -268,7 +407,6 @@ def _clique_levels(later: np.ndarray, roots: np.ndarray, cap: int):
             )
         # the flat split gives np.nonzero's row-major pairs, four times faster
         f, w = np.divmod(np.flatnonzero(cand), len(later))
-        indices = np.column_stack((indices[f], w))
         if k + 1 == cap:
             continue
         gather = 3 * len(f) * len(later)
@@ -296,10 +434,10 @@ def cliques_by_order(
     first, second = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
     later = np.zeros((n, n), dtype=bool)
     later[first, second] = True
-    levels = _clique_levels(later, np.arange(n), cap)
-    return {
-        k: [tuple(t) for t in indices.tolist()] for k, (indices, _, _) in enumerate(levels, 1)
-    }
+    levels: dict[int, LedgerOrder] = {}
+    for k, (f, w) in enumerate(_clique_levels(later, np.arange(n), cap), 1):
+        levels[k] = LedgerOrder(levels.get(k - 1), f, w, None, None)
+    return {k: [tuple(t) for t in level.indices.tolist()] for k, level in levels.items()}
 
 
 def count_cliques(graph: IntersectionGraph, order: int) -> int:
@@ -327,19 +465,18 @@ def enumerate_tuples(
     max_order above the event count is clamped.  With a measure given, each
     order carries its intersection probabilities; every tuple the walk
     leaves out has probability exactly 0.0 under POSITIVE_MEASURE.  Whole
-    orders are built at once.  The boxes are ranked once per walk, per side
-    and axis, by the coordinate the meet keeps: the larger lower and the
-    smaller upper, and on a tie (-0.0 against 0.0 too) the smaller index,
-    the member the comparison of Python's max/min keeps, as in
-    pair_verdicts.  So a meet coordinate is its top-ranked member's own
-    coordinate: each order takes the highest rank of a row's members, and
-    gathers the vertices and, with a measure, the CDF values from tables
-    sorted by rank, each marginal's CDF evaluated once on the boxes'
-    vertices.  An order's probabilities are clamped_product of those
-    values, bit for bit rect_probabilities of its vertices.  The ranks and
+    orders are built at once.  The boxes are ranked once per walk
+    (MeetRanks), so a meet coordinate is its top-ranked member's own
+    coordinate.  With a measure, each order takes the highest slot of a
+    row's members from its parent row's and gathers the CDF values from a
+    table sorted by rank, each marginal's CDF evaluated once on the boxes'
+    vertices; an order's probabilities are clamped_product of those
+    values, bit for bit rect_probabilities of its vertices.  The slots and
     CDF values of an order live only until the next order is built; the
-    ledger keeps indices, vertices and probabilities.  Raises InputError
-    when the walk would exceed TERM_BUDGET terms or MASK_BYTE_BUDGET bytes.
+    ledger keeps each order's parent rows, added boxes and probabilities,
+    and the ranks, from which it builds indices and vertices when they are
+    read.  Raises InputError when the walk would exceed TERM_BUDGET terms
+    or MASK_BYTE_BUDGET bytes.
     """
     vertices = box_vertices(boxes)  # (N, 2, d)
     if measure is not None:
@@ -352,41 +489,20 @@ def enumerate_tuples(
         return TupleLedger(n, ids, levels)
     passes, later = _pair_mask(vertices, mode)
     roots = np.flatnonzero(passes)
-    # by_rank[r, s, j] is the place in vertices.ravel() of the box of rank r
-    # on side s, axis j.  The sort key is -lower and upper, so once reversed
-    # the box the meet keeps ranks highest, and of tied boxes the smaller
-    # index, which the stable sort put first.  slots is the inverse: a box's
-    # place in table, which orders as its rank does.
-    d = vertices.shape[2]
-    by_rank = np.argsort(vertices * [[-1.0], [1.0]], axis=0, kind="stable")[::-1]
-    by_rank = by_rank * (2 * d) + np.arange(2 * d).reshape(2, d)
-    slots = np.empty_like(by_rank)
-    slots.put(by_rank, np.arange(by_rank.size))
-    table = vertices.take(by_rank)
+    ranks = _meet_ranks(vertices)
     if measure is not None:
-        cdfs = measure.cdf_table(table)  # the CDF value of every coordinate, by rank
-    current = slots[roots]
-    for k, (indices, f, w) in enumerate(_clique_levels(later, roots, cap), 1):
-        if f is not None:
-            current = current[f]
-            np.maximum(current, slots[w], out=current)
-        meets = table.take(current)
+        cdfs = measure.cdf_table(ranks.table)  # the CDF value of every coordinate, by rank
+        current = ranks.slots[roots]
+    for k, (f, w) in enumerate(_clique_levels(later, roots, cap), 1):
         probability = None
         if measure is not None:
+            if f is not None:
+                current = current[f]
+                np.maximum(current, ranks.slots[w], out=current)
             # the two (F, d) halves of the gather, which dies with this line
             probability = clamped_product(*cdfs.take(current).transpose(1, 0, 2))
-        levels[k] = LedgerOrder(indices, meets[:, 0], meets[:, 1], probability)
-    return TupleLedger(n, ids, levels)
-
-
-def _signed_total(ledger: TupleLedger) -> float:
-    """Alternating inclusion-exclusion total over the ledger, fully summed
-    with fsum in deterministic (order, lexicographic) order."""
-    signed = []
-    for k in sorted(ledger.levels):
-        probability = ledger._probability_column(k)
-        signed.extend((probability if k % 2 == 1 else -probability).tolist())
-    return fsum(signed)
+        levels[k] = LedgerOrder(levels.get(k - 1), f, w, probability, ranks)
+    return TupleLedger(n, ids, levels, ranks)
 
 
 def screened_union(
@@ -403,7 +519,7 @@ def screened_union(
     if not boxes:
         return UnionResult(0.0, 0, 0)
     ledger = enumerate_tuples(boxes, mode, len(boxes), measure=measure)
-    return UnionResult(_signed_total(ledger), ledger.term_count(), 2 ** len(boxes) - 1)
+    return UnionResult(ledger.signed_total(), ledger.term_count(), 2 ** len(boxes) - 1)
 
 
 def binomial_moments(
@@ -426,7 +542,7 @@ def binomial_moments(
         return MomentVector(0, (), 0.0)
     ledger = enumerate_tuples(boxes, mode, n, measure=measure)
     s = tuple(ledger.order_sum(k) for k in range(1, m + 1))
-    return MomentVector(n, s, _signed_total(ledger))
+    return MomentVector(n, s, ledger.signed_total())
 
 
 def _dot_id(name: str) -> str:

@@ -361,3 +361,21 @@ def reference_piecewise_ppf(cdf, u):
     x = knots[left] + t * (knots[idx] - knots[left])
     x = np.where(idx == 0, knots[0], x)
     return x if isinstance(u, np.ndarray) else float(x)
+
+
+def reference_order_sum(ledger, order):
+    """TupleLedger.order_sum by one fsum over the order's probabilities.
+
+    The test oracle for the ledger's exact pass.
+    """
+    return fsum(ledger._probability_column(order).tolist())
+
+
+def reference_signed_total(ledger):
+    """TupleLedger.signed_total by one fsum over every signed term, in
+    (order, lexicographic) order."""
+    signed = []
+    for k in sorted(ledger.levels):
+        probability = ledger._probability_column(k)
+        signed.extend((probability if k % 2 == 1 else -probability).tolist())
+    return fsum(signed)

@@ -210,6 +210,18 @@ VERTEX_COORDS = st.sampled_from(
 ) | st.floats(-3.0, 12.0)
 
 
+@pytest.mark.parametrize("size", (1, 7, 1000))
+def test_sample_matches_each_marginals_ppf_bitwise(size):
+    # sample writes each marginal's quantiles over its row of the points:
+    # the bits of ppf on the same column of the draw.
+    measure = ProductMeasure((*MARGINALS, PiecewiseCdf((-0.0, 0.1, 1.0), (0.0, 0.0, 1.0))))
+    u = np.random.default_rng(size).random((size, measure.dimension))
+    expected = np.column_stack([m.ppf(u[:, k]) for k, m in enumerate(measure.marginals)])
+    got = measure.sample(np.random.default_rng(size), size)
+    assert got.shape == expected.shape
+    assert (got.view(np.int64) == expected.view(np.int64)).all()
+
+
 @st.composite
 def vertex_arrays(draw):
     marginals = tuple(draw(st.lists(st.sampled_from(MARGINALS), min_size=1, max_size=3)))

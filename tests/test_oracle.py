@@ -414,13 +414,13 @@ def test_monte_carlo_with_faces_on_sampled_points_matches_broadcast_reference(
 
 
 def test_monte_carlo_sweep_memory():
-    # Sampling sets the peak at _MC_CHUNK samples in 3-d, the uniform draw
-    # and the points at 12 MiB each: 28.0 MiB under uniform marginals, with
-    # one marginal's quantiles at 4 MiB, and 36.5 MiB under piecewise ones,
-    # where one marginal's ppf holds its contiguous copy of the column, which
-    # becomes the quantiles (4 MiB), the intp segment index (4 MiB), one
-    # gathered column of CDF values or of a table, or one scaled mask
-    # (4 MiB), and the one-byte comparison mask (0.5 MiB).
+    # At _MC_CHUNK samples in 3-d the uniform draw and the points take
+    # 12 MiB each.  sample copies the draw into the points, which it then
+    # holds alone, and each marginal works in its row, so sampling peaks at
+    # 24.0 MiB under uniform and piecewise marginals alike (28.0 and 36.5
+    # MiB when each marginal's quantiles came back in a new array).  The
+    # sweep sets the run's peak at 28.0 MiB: the points, the 4 MiB argsort
+    # of the first axis and the 12 MiB sorted copy.
     rng = np.random.default_rng(5)
     lower = rng.uniform(0.0, 0.9, size=(100, 3))
     boxes = [Box(f"A{i + 1}", lo, lo + 0.05) for i, lo in enumerate(lower)]
@@ -430,14 +430,15 @@ def test_monte_carlo_sweep_memory():
         PiecewiseCdf((-0.0, 0.1, 1.0), (0.0, 0.0, 1.0)),
         PiecewiseCdf((0.0, 0.4, 0.9, 1.0), (0.0, 0.6, 1.0, 1.0)),
     )
-    for measure, peak_mib in (
-        (ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3), 28.0),
-        (ProductMeasure(piecewise), 36.5),
-    ):
-        tracemalloc.start()
-        try:
-            monte_carlo_union(boxes, measure, _MC_CHUNK, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * peak_mib * 2**20, measure
+    for measure in (ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3), ProductMeasure(piecewise)):
+        for run, peak_mib in (
+            (lambda: measure.sample(np.random.default_rng(3), _MC_CHUNK), 24.0),
+            (lambda: monte_carlo_union(boxes, measure, _MC_CHUNK, 3), 28.0),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * peak_mib * 2**20, (measure, peak_mib)

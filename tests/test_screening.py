@@ -1,7 +1,8 @@
 import random
 import tracemalloc
 from itertools import combinations
-from math import comb, fsum, inf
+from math import comb, fsum, inf, ldexp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from boxbounds import screening
 from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
+from boxbounds.cli import load_document, parse_geometry
 from boxbounds.errors import InputError
 from boxbounds.geometry import (
     Box,
@@ -37,7 +39,14 @@ from boxbounds.screening import (
     to_dot,
 )
 
-from helpers import ULP_KNOTS, ULP_VALUES, brute_force_tuples, random_instance
+from helpers import (
+    ULP_KNOTS,
+    ULP_VALUES,
+    brute_force_tuples,
+    random_instance,
+    reference_order_sum,
+    reference_signed_total,
+)
 
 STRICT = EmptinessMode.POSITIVE_MEASURE
 CLOSED = EmptinessMode.CLOSED
@@ -556,9 +565,10 @@ def test_pair_pass_memory_on_sparse_boxes():
 
 def test_ledger_holds_only_its_columns():
     # 16 boxes that all share the centre of the cube keep every one of the
-    # 2^16 - 1 tuples.  A term of order k keeps k indices, 2d vertex
-    # coordinates and one probability, 8 bytes each, so CDF values the
-    # walk computes on the way must not stay reachable from the ledger.
+    # 2^16 - 1 tuples.  Until its indices or vertices are read, a term
+    # keeps its parent row, its added box and its probability, 8 bytes
+    # each, so neither those columns nor the CDF values the walk computes
+    # on the way may stay reachable from the ledger.
     d = 3
     rng = np.random.default_rng(16)
     lowers = rng.uniform(0.0, 0.4, (16, d)).tolist()
@@ -573,9 +583,14 @@ def test_ledger_holds_only_its_columns():
     finally:
         tracemalloc.stop()
     assert ledger.term_count() == 2**16 - 1
-    columns = sum(len(level.indices) * (k + 2 * d + 1) * 8 for k, level in ledger.levels.items())
+    columns = 3 * 8 * ledger.term_count()
     # The slack covers the array headers and the ledger's small objects.
     assert held <= 1.1 * columns + 64 * 2**10
+    # Read, the columns are those of the walk's rows.
+    level = ledger.levels[16]
+    assert level.indices.tolist() == [list(range(16))]
+    assert level.lower.tolist() == [np.max(lowers, axis=0).tolist()]
+    assert level.upper.tolist() == [np.min(uppers, axis=0).tolist()]
 
 
 def _dense_draw(seed, dim, n, side):
@@ -588,15 +603,20 @@ def _dense_draw(seed, dim, n, side):
     return [Box(f"A{i}", lo, hi) for i, (lo, hi) in enumerate(zip(lower.round(4).tolist(), upper))]
 
 
+def _piecewise_measure(seed, dim):
+    """Piecewise-linear marginals on [0, 100] as perfbench's dense 3-d file draws them."""
+    rng = np.random.default_rng(seed)
+    return ProductMeasure(tuple(
+        PiecewiseCdf((0.0, *sorted(rng.uniform(5.0, 95.0, 3).round(3)), 100.0),
+                     (0.0, 0.2, 0.45, 0.7, 1.0))
+        for _ in range(dim)
+    ))
+
+
 def test_ledger_rows_match_their_meets_at_the_benchmark_density():
     # A 44-box 2-d draw under a uniform measure and a 40-box 3-d draw under
     # piecewise-linear marginals, each with 6,000-9,000 retained terms.
-    rng = np.random.default_rng(3)
-    piecewise = ProductMeasure(tuple(
-        PiecewiseCdf((0.0, *sorted(rng.uniform(5.0, 95.0, 3).round(3)), 100.0),
-                     (0.0, 0.2, 0.45, 0.7, 1.0))
-        for _ in range(3)
-    ))
+    piecewise = _piecewise_measure(3, 3)
     uniform = ProductMeasure((UniformInterval(0.0, 100.0),) * 2)
     for boxes, measure in ((_dense_draw(7, 2, 44, 25.5), uniform),
                            (_dense_draw(1, 3, 40, 32.0), piecewise)):
@@ -611,6 +631,91 @@ def test_ledger_rows_match_their_meets_at_the_benchmark_density():
                 assert repr(entry.probability) == repr(p)
                 signed.append(p if k % 2 else -p)
         assert screened_union(boxes, measure, STRICT).q == fsum(signed)
+
+
+# Every finite double up to 2**1000, subnormals included; values spread
+# over the whole exponent range; and edge values: signed zeros, the
+# smallest subnormal, the smallest normal and the largest double below 1.
+SUMMANDS = (
+    st.floats(-(2.0**1000), 2.0**1000, allow_nan=False, allow_subnormal=True)
+    | st.builds(ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1000))
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                       -1.0, 0.9999999999999999, 2.0**1000, -(2.0**1000)])
+)
+
+
+@st.composite
+def grouped_summands(draw):
+    """(values, groups, n_groups), some values cancelled by their negation."""
+    n_groups = draw(st.integers(1, 5))
+    values = draw(st.lists(SUMMANDS, max_size=60))
+    if values:
+        values += [-v for v in draw(st.lists(st.sampled_from(values), max_size=20))]
+    groups = draw(st.lists(st.integers(0, n_groups - 1), min_size=len(values),
+                           max_size=len(values)))
+    return np.array(values, dtype=float), np.array(groups, dtype=np.intp), n_groups
+
+
+def _assert_bins_sum_as_fsum(values, groups, n_groups):
+    """fsum of each group's bins, and of all bins signed by group parity as
+    the ledger's alternating total signs its orders, is fsum of the values."""
+    bins = screening.exact_bins(values, groups, n_groups)
+    assert len(bins) == n_groups
+    for g, group_bins in enumerate(bins):
+        assert (group_bins != 0.0).all()
+        assert repr(fsum(group_bins.tolist())) == repr(fsum(values[groups == g].tolist()))
+    signed = [(b if g % 2 == 0 else -b).tolist() for g, b in enumerate(bins)]
+    expected = fsum(np.where(groups % 2 == 0, values, -values).tolist())
+    assert repr(fsum(x for b in signed for x in b)) == repr(expected)
+
+
+@given(grouped_summands())
+@settings(max_examples=500, deadline=None)
+@example((np.array([]), np.array([], dtype=np.intp), 2))
+@example((np.array([-0.0, -0.0, 0.0]), np.array([0, 1, 1]), 3))
+@example((np.array([1.0, 2.0**-53, -(2.0**-53), 2.0**-105]), np.array([0, 0, 0, 0]), 1))
+@example((np.array([5e-324, 5e-324, -1e-320, 2.0**1000]), np.array([0, 0, 1, 1]), 2))
+def test_exact_bins_sum_as_fsum(case):
+    _assert_bins_sum_as_fsum(*case)
+
+
+def test_exact_bins_on_a_million_terms():
+    # Probabilities spread over many exponents, a thousand subnormal or
+    # tiny ones, a seventh negated, in ten groups.
+    rng = np.random.default_rng(10**6)
+    values = rng.random(10**6) ** 8
+    values[::1000] = np.ldexp(rng.random(1000), rng.integers(-1074, 0, 1000))
+    values[::7] *= -1.0
+    _assert_bins_sum_as_fsum(values, rng.integers(0, 10, 10**6), 10)
+
+
+def _sum_corpus():
+    """(boxes, measure) of every geometry golden, both fixtures and dense draws."""
+    root = Path(__file__).parent.parent
+    paths = sorted((root / "tests" / "golden").glob("*.json")) + sorted(
+        (root / "fixtures").glob("*.json")
+    )
+    docs = [load_document(str(path)) for path in paths if path.name != "cli_stdout.json"]
+    problems = [parse_geometry(doc) for doc in docs if "boxes" in doc]
+    corpus = [(problem.boxes, problem.measure) for problem in problems]
+    uniform = ProductMeasure((UniformInterval(0.0, 100.0),) * 2)
+    for seed in range(1, 6):
+        corpus.append((_dense_draw(seed, 2, 44, 25.5), uniform))
+        corpus.append((_dense_draw(seed, 3, 40, 32.0), _piecewise_measure(seed, 3)))
+    return corpus
+
+
+def test_ledger_sums_match_the_reference_bodies():
+    # S_k and the alternating total of every ledger, whole and capped at
+    # order 3 as bounds --m 3 walks it, in both modes, equal one fsum over
+    # the terms bit for bit.
+    for boxes, measure in _sum_corpus():
+        for mode in EmptinessMode:
+            for max_order in (len(boxes), 3):
+                ledger = enumerate_tuples(boxes, mode, max_order, measure)
+                for k in range(1, max_order + 2):
+                    assert repr(ledger.order_sum(k)) == repr(reference_order_sum(ledger, k))
+                assert repr(ledger.signed_total()) == repr(reference_signed_total(ledger))
 
 
 # A non-monotone CDF would give the measure-zero meet of boxes that end
