@@ -17,14 +17,16 @@ or steepest edge in a solve that starts from a crash basis, with Bland's
 anti-cycling rule as the fallback under degeneracy, plus periodic tableau
 rebuilds from the original data so rounding error cannot accumulate over
 long degenerate crawls.  Phase 1 never reads the objective, so a bound
-pair runs it once and starts both phase 2 solves from its basis and the
-one tableau body B^-1 [A | b] computed for it.  Every problem here has at
-most a few hundred rows, so a dense tableau is plenty.
+pair runs it once and starts both phase 2 solves from its basis and one
+tableau body B^-1 [A | b]: after a crash start phase 1's final tableau,
+else one solve from original data.  Every problem here has at most a few
+hundred rows, so a dense tableau is plenty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import InfeasibleBoundsError, InputError
 from .geometry import Box, EmptinessMode
 from .measure import ProductMeasure
-from .screening import MomentVector, enumerate_tuples
+from .screening import LedgerOrder, MomentVector, enumerate_tuples
 
 PIVOT_TOL = 1e-9
 ORDER_TOL = 1e-9  # how far a BoundPair's lower bound may exceed its upper
@@ -45,13 +47,13 @@ _REFRESH_INTERVAL = 40  # pivots between tableau rebuilds from original data
 # 1 + sum_{k<=m} C(N, k) rows over 2^N atoms, counted before zero p_I drop
 # any.  It admits N = 8 at every m, (10, 2) and (12, 1).  Overlapping 2-d
 # boxes have no zero p_I, so every atom stays; there, worst of nine calls
-# of system and bound pair, N = 8 takes 0.10 s at m = 4, 88 ms at m = 5,
-# 65 and 59 ms at m = 6 and 7, 33 ms at m = 3, 18 ms at m = 8, where the
-# inclusion-exclusion start is optimal, and less below; (10, 2) takes
-# 62 ms and (12, 1) 8 ms.  Random 2-d boxes keep few atoms and take at
-# most 10 ms.  Just past the budget, (9, 3) on overlapping boxes takes up
-# to 0.57 s and 2,055 pivots a pair, five times the admitted worst, and
-# the matrix doubles with each event.
+# of system and bound pair at one BLAS thread, N = 8 takes 82 ms at m = 4,
+# 64 ms at m = 5, 55 and 49 ms at m = 6 and 7, 29 ms at m = 3, 19 ms at
+# m = 8, where the inclusion-exclusion start is optimal, and less below;
+# (10, 2) takes 50 ms and (12, 1) 7 ms.  Random 2-d boxes keep few atoms
+# and take at most 9 ms.  Just past the budget, (9, 3) on overlapping
+# boxes takes up to 0.53 s and 1,915 pivots a pair, six times the
+# admitted worst, and the matrix doubles with each event.
 _ATOM_CELL_BUDGET = 1 << 16
 # Cells (rows times columns) of the dense moment matrix a moment LP may
 # hold; a bounds call at the budget with m = 3 takes about 1 s and 100 MB.
@@ -131,39 +133,44 @@ class BoundPair:
             )
 
 
-@dataclass
 class BooleanSystem:
     """Individual intersection probabilities p_I for all nonempty I, |I| <= m.
 
-    Keys are frozensets of 0-based event indices.  Every subset of size
-    1..m must be present; values must be probabilities that do not grow
-    when the subset grows.
+    Built from p, a mapping keyed by iterables (frozensets, say) of 0-based
+    event indices: every subset of size 1..m must be present, and values
+    must be probabilities, within 1e-12, that do not grow by more than
+    1e-12 when the subset grows.  boolean_system_from_boxes builds one
+    from a ledger's arrays instead, with the same checks and messages made
+    by array operations, where a subset the ledger left out has p = 0.
+    Either way the system holds ``orders``, per order k = 1..m the pair of
+    an ``(F, k)`` array of subsets in lexicographic order and their
+    ``(F,)`` probabilities: the rows the atom LP is built from.  ``p``,
+    the dict over every subset up to order m, is built on first read.
     """
 
-    n_events: int
-    m: int
-    p: dict[frozenset[int], float]
-
-    def __post_init__(self) -> None:
-        if self.n_events < 1:
+    def __init__(self, n_events: int, m: int, p: Mapping[frozenset[int], float]) -> None:
+        if n_events < 1:
             raise InputError("Boolean system needs at least one event")
-        check_order(self.m, self.n_events)
+        check_order(m, n_events)
         normalized: dict[frozenset[int], float] = {}
-        for key, value in self.p.items():
+        for key, value in p.items():
             subset = frozenset(int(i) for i in key)
             if not subset:
                 raise InputError("p keys must be nonempty index subsets")
-            if not all(0 <= i < self.n_events for i in subset):
+            if not all(0 <= i < n_events for i in subset):
                 raise InputError(f"subset {sorted(subset)} out of range")
-            if len(subset) > self.m:
-                raise InputError(f"subset {sorted(subset)} exceeds order m={self.m}")
+            if len(subset) > m:
+                raise InputError(f"subset {sorted(subset)} exceeds order m={m}")
             if not -1e-12 <= value <= 1.0 + 1e-12:
                 raise InputError(f"p[{sorted(subset)}] = {value} is not a probability")
             normalized[subset] = float(value)
-        for k in range(1, self.m + 1):
-            for combo in combinations(range(self.n_events), k):
-                if frozenset(combo) not in normalized:
-                    raise InputError(f"missing p entry for subset {list(combo)}")
+        orders = []
+        for k in range(1, m + 1):
+            combos = list(combinations(range(n_events), k))
+            values = [normalized.get(frozenset(combo)) for combo in combos]
+            if None in values:
+                raise InputError(f"missing p entry for subset {list(combos[values.index(None)])}")
+            orders.append((np.array(combos, dtype=np.intp).reshape(-1, k), np.array(values)))
         for subset, value in normalized.items():
             if len(subset) < 2:
                 continue
@@ -172,7 +179,23 @@ class BooleanSystem:
                     raise InputError(
                         f"p[{sorted(subset)}] exceeds p[{sorted(subset - {i})}]"
                     )
-        self.p = normalized
+        self.n_events, self.m, self.orders = n_events, m, tuple(orders)
+
+    @classmethod
+    def _of_orders(cls, n_events: int, m: int, orders) -> BooleanSystem:
+        """A system of checked orders, as BooleanSystem holds them."""
+        system = cls.__new__(cls)
+        system.n_events, system.m, system.orders = n_events, m, tuple(orders)
+        return system
+
+    @cached_property
+    def p(self) -> dict[frozenset[int], float]:
+        p = {}
+        for k, (subsets, values) in enumerate(self.orders, 1):
+            given = dict(zip(map(tuple, subsets.tolist()), values.tolist()))
+            for combo in combinations(range(self.n_events), k):
+                p[frozenset(combo)] = given.get(combo, 0.0)
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +216,26 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def _solve(base: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """base^-1 rhs, by least squares where base is singular."""
+    try:
+        return np.linalg.solve(base, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(base, rhs, rcond=None)[0]
+
+
+def _zero_noise(rhs: np.ndarray) -> None:
+    """Read a right-hand side in (-1e-7, 0), rounding noise, as 0, in place."""
+    rhs[(rhs < 0.0) & (rhs > -1e-7)] = 0.0
+
+
 def _body(a: np.ndarray, b: np.ndarray, basis: Sequence[int]) -> np.ndarray:
     """B^-1 [a | b] for the basis B = a[:, basis], from original data.
 
     A right-hand side in (-1e-7, 0) is rounding noise and reads 0.
     """
-    base = a[:, basis]
-    stacked = np.column_stack([a, b])
-    try:
-        body = np.linalg.solve(base, stacked)
-    except np.linalg.LinAlgError:
-        body, *_ = np.linalg.lstsq(base, stacked, rcond=None)
-    rhs = body[:, -1]
-    body[:, -1] = np.where((rhs < 0.0) & (rhs > -1e-7), 0.0, rhs)
+    body = _solve(a[:, basis], np.column_stack([a, b]))
+    _zero_noise(body[:, -1])
     return body
 
 
@@ -299,18 +329,22 @@ def _pivot_until_optimal(
 class _Start:
     """A feasible basis from phase 1, over the rows it kept.
 
-    a and b are those rows as given, and body is B^-1 [a | b] for the
-    basis (read-only), the body of the first tableau of every phase 2
-    from this start.  Phase 1 never reads the objective, so one start
-    serves the min and the max of any objective over the same rows.
-    steepest says which pricing phase 2 keeps: phase 1's.
+    a and b are those rows as given, and body, read-only, is B^-1 [a | b]
+    for the basis: the body of the first tableau of every phase 2 from this
+    start.  Phase 1 never reads the objective, so one start serves the min
+    and the max of any objective over the same rows.  crash says phase 1
+    ran from a crash basis.  Then body is phase 1's final tableau over
+    those rows, phase 2 prices by steepest edge as phase 1 did, and each
+    optimum reads x_B by one right-hand-side solve of its basis from a and
+    b.  Otherwise body is a fresh solve from a and b, and an optimum reads
+    x_B from it, or from a fresh B^-1 [a | b] if the basis moved.
     """
 
     basis: tuple[int, ...]
     a: np.ndarray
     b: np.ndarray
     body: np.ndarray
-    steepest: bool
+    crash: bool
 
 
 def _phase1(
@@ -329,7 +363,8 @@ def _phase1(
     Rows are flipped to b >= 0 only after that, so on rows with b < 0 a
     crash solve may end in another optimal basis than on the same rows
     negated (Boolean rows have b >= 0; the moment LPs pass no crash).
-    The start it returns holds the rows as given, not B^-1 a.
+    The start it returns holds the rows as given, not B^-1 a, and after a
+    crash start phase 1's final tableau over them as its body (see _Start).
 
     A solve from a crash basis prices by steepest edge in both phases,
     one from artificials by the most negative reduced cost.  The Boolean
@@ -386,7 +421,11 @@ def _phase1(
     keep = [i for i in range(m) if basis[i] < n]
     kept = tuple(basis[i] for i in keep)
     a2, b2 = a[keep], b[keep]
-    body = _body(a2, b2, kept)
+    if steepest:  # the final tableau's original columns and right-hand side
+        body = tableau[keep][:, np.r_[:n, -1]]
+        _zero_noise(body[:, -1])
+    else:
+        body = _body(a2, b2, kept)
     body.flags.writeable = False
     return _Start(kept, a2, b2, body, steepest), pivots
 
@@ -401,16 +440,17 @@ def _phase2(c: np.ndarray, start: _Start, pivots: int = 0) -> LpResult:
     rows, n = a2.shape
     phase2 = np.empty((rows + 1, n + 1))
     _rebuild(phase2, basis, a2, b2, c, start.body)
-    status, moved = _pivot_until_optimal(phase2, basis, a2, b2, c, start.steepest)
+    status, moved = _pivot_until_optimal(phase2, basis, a2, b2, c, start.crash)
     pivots += moved
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
 
-    # The solution is read from original data: the start's body, or a
-    # fresh one if the basis moved.
-    body = _body(a2, b2, basis) if moved else start.body
+    # The solution is read from original data (see _Start).
     x = np.zeros(n)
-    x[basis] = body[:, -1]
+    if start.crash:
+        x[basis] = _solve(a2[:, basis], b2)
+    else:
+        x[basis] = (_body(a2, b2, basis) if moved else start.body)[:, -1]
     np.clip(x, 0.0, None, out=x)
     return LpResult(
         status="optimal",
@@ -708,23 +748,58 @@ def pairwise_probabilities(
 # Boolean atom LP
 
 
+def _check_ledger_orders(levels: Sequence[LedgerOrder], n: int) -> None:
+    """BooleanSystem's checks on ledger orders 1..k, with its messages.
+
+    Each row's p must be a probability within 1e-12 (first failure in
+    order and lexicographically), then at most p of each of its facets,
+    the row without one member, plus 1e-12.  Every facet of a row is a
+    row of the order below, as every subset of a clique is a clique.
+    """
+    for level in levels:
+        p = level.probability
+        bad = np.flatnonzero(~((p >= -1e-12) & (p <= 1.0 + 1e-12)))
+        if bad.size:
+            row = int(bad[0])
+            raise InputError(
+                f"p[{level.indices[row].tolist()}] = {float(p[row])} is not a probability"
+            )
+    # facets[r, j]: the row of order k-1 that is row r of order k without
+    # member j.  Row (f, w) of an order sits at f * n + w of the walk's
+    # ascending candidate positions, and its facet without member j < k-1
+    # is the parent's facet without j extended by w; order 1 rows extend
+    # the one empty row.
+    facets = np.zeros((len(levels[0]), 1), dtype=np.intp)
+    for parent, level in zip(levels, levels[1:]):
+        keys = parent.w if parent.f is None else parent.f * n + parent.w
+        others = keys.searchsorted(facets[level.f] * n + level.w[:, None])
+        facets = np.column_stack((others, level.f))
+        worse = level.probability[:, None] > parent.probability[facets] + 1e-12
+        if worse.any():
+            row = int(worse.any(axis=1).argmax())
+            members = level.indices[row].tolist()
+            i = next(i for i in frozenset(members) if worse[row, members.index(i)])
+            raise InputError(f"p[{members}] exceeds p[{sorted(set(members) - {i})}]")
+
+
 def boolean_system_from_boxes(
     boxes: Sequence[Box], measure: ProductMeasure, m: int
 ) -> BooleanSystem:
     """Intersection probabilities of all subsets up to order m.
 
-    Read from a positive-measure ledger built to order m; every subset it
-    prunes carries probability exactly 0.0.
+    Read from a positive-measure ledger built to order m, whose orders
+    become the system's; every subset it prunes has probability 0.0.
     """
     n = len(boxes)
     check_order(m, n)
     ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, m, measure)
-    p = {}
-    for k in range(1, m + 1):
-        present = ledger.probabilities(k)
-        for combo in combinations(range(n), k):
-            p[frozenset(combo)] = present.get(combo, 0.0)
-    return BooleanSystem(n, m, p)
+    levels = [ledger.levels[k] for k in sorted(ledger.levels)]
+    if levels:
+        _check_ledger_orders(levels, n)
+    orders = [(level.indices, level.probability) for level in levels]
+    for k in range(len(levels) + 1, m + 1):  # orders with no surviving tuple
+        orders.append((np.empty((0, k), dtype=np.intp), np.empty(0)))
+    return BooleanSystem._of_orders(n, m, orders)
 
 
 def check_atom_cap(n_events: int, m: int) -> None:
@@ -743,6 +818,47 @@ def check_atom_cap(n_events: int, m: int) -> None:
             )
 
 
+def _atom_lp(system: BooleanSystem):
+    """The atom LP of boolean_lp_bounds: a_eq, b_eq, crash basis, atom sizes.
+
+    Rows are the total mass, then the subsets with p_I > 0 by size and
+    lexicographically within a size; p_I <= 0 forces x_J = 0 for every
+    atom J containing I, so those rows go, with every such atom, which
+    leaves an equivalent LP.  An atom J stays when each of its nonempty
+    subsets up to order m is a kept row, that is when its count of kept
+    subsets, summed over the subset lattice one event at a time, is
+    sum_{k <= min(m, |J|)} C(|J|, k).  Atoms are bitmasks, ascending.
+    """
+    n, m = system.n_events, system.m
+    masks, p = [], []
+    for subsets, values in system.orders:
+        kept = values > 0.0
+        masks.append(np.left_shift(1, subsets[kept]).sum(axis=1))
+        p.append(values[kept])
+    masks = np.concatenate(masks)
+    # Summed over subsets, the indicators of the kept rows and of the
+    # singletons give kept[J], the kept rows inside atom J, and size[J] = |J|.
+    counts = np.zeros((2, 1 << n), dtype=np.intp)
+    counts[0, masks] = 1
+    counts[1, np.left_shift(1, np.arange(n))] = 1
+    for i in range(n):
+        view = counts.reshape(2, -1, 2, 1 << i)
+        view[:, :, 1] += view[:, :, 0]
+    kept, size = counts
+    full = [sum(comb(s, k) for k in range(1, min(m, s) + 1)) for s in range(n + 1)]
+    atoms = np.flatnonzero(kept == np.array(full)[size])
+    in_row = (atoms & masks[:, None]) == masks[:, None]
+    a_eq = np.vstack([np.ones(len(atoms)), in_row])
+    b_eq = np.concatenate([[1.0], *p])
+    # Each row starts on its own atom, the total mass on the empty one.  The
+    # 1e-12 slack of BooleanSystem lets a kept row's own atom contain a
+    # dropped row's subset; such a row names no column and gets an artificial.
+    own = np.concatenate([[0], masks])
+    slot = atoms.searchsorted(own)
+    crash = np.where(atoms[np.minimum(slot, len(atoms) - 1)] == own, slot, -1)
+    return a_eq, b_eq, crash, size[atoms]
+
+
 def boolean_lp_bounds(
     system: BooleanSystem, target: str, r: int | None = None
 ) -> BoundPair:
@@ -752,7 +868,7 @@ def boolean_lp_bounds(
     the events in J occur), one equality per supplied p_I plus total mass
     one.  Targets: 'union' (J nonempty), 'atleast' (|J| >= r), 'exactly'
     (|J| = r).  A supplied p_I <= 0 drops its row and every x_J with J
-    containing I, which that row holds at 0.
+    containing I, which that row holds at 0 (see _atom_lp).
 
     Phase 1 starts from the atom of each row's own subset (the empty atom
     for total mass).  That basis is unit triangular, and its basic solution
@@ -762,24 +878,6 @@ def boolean_lp_bounds(
     n = system.n_events
     lo, hi = _count_target(target, n, r)
     check_atom_cap(n, system.m)
-
-    # Row order is the simplex's pivot order: total mass, then the subsets
-    # by size and lexicographically within a size.  Atom J lies in the row
-    # of I when J contains I; the singleton rows add up to |J|.
-    subsets = [c for k in range(1, system.m + 1) for c in combinations(range(n), k)]
-    masks = np.array([sum(1 << i for i in subset) for subset in subsets])[:, None]
-    incidence = (np.arange(1 << n) & masks) == masks
-    p = np.array([system.p[frozenset(subset)] for subset in subsets])
-    sizes = incidence[:n].sum(axis=0)
-    # p_I <= 0 forces x_J = 0 for every atom J in the row of I: drop those
-    # atoms and the rows, which leaves an equivalent LP over the survivors.
-    zero = p <= 0.0
-    atoms = ~incidence[zero].any(axis=0)
-    a_eq = np.vstack([np.ones(np.count_nonzero(atoms)), incidence[~zero][:, atoms]])
-    b_eq = np.concatenate([[1.0], p[~zero]])
-    # The 1e-12 slack of BooleanSystem lets a kept row's own atom contain a
-    # zero row's subset; such a row names no column and gets an artificial.
-    own = np.concatenate([[0], masks[~zero, 0]])
-    crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
+    a_eq, b_eq, crash, sizes = _atom_lp(system)
     method = f"boolean(m={system.m})"
-    return _solve_pair(sizes[atoms], lo, hi, a_eq, b_eq, method, crash=crash)
+    return _solve_pair(sizes, lo, hi, a_eq, b_eq, method, crash=crash)

@@ -177,14 +177,14 @@ def monte_carlo_union(
     across platforms.  standard_error is sqrt(est (1 - est) / samples).
     Points are tested box by box into one hit mask per chunk.  From
     _MC_SWEEP_BOXES boxes on, each chunk is sorted once on axis 0 (one
-    argsort, one gather into contiguous columns), and each box tests axes
-    1..d-1 only on its window of the chunk, the points with
-    lower[0] <= x[0] <= upper[0], cut by two searchsorted calls; below
-    it every window is the whole chunk and every axis is tested.  The hit
-    count does not depend on the order of the points, so both give the
-    same hits.  Working memory is O(chunk * d) whatever the number of
-    boxes.  Raises InputError before any sampling for a negative seed or
-    when samples times boxes exceed MC_TEST_BUDGET.
+    argsort, then each row of the points replaced by its gather, one row
+    at a time), and each box tests axes 1..d-1 only on its window of the
+    chunk, the points with lower[0] <= x[0] <= upper[0], cut by two
+    searchsorted calls; below it every window is the whole chunk and every
+    axis is tested.  The hit count does not depend on the order of the
+    points, so both give the same hits.  Working memory is O(chunk * d)
+    whatever the number of boxes.  Raises InputError before any sampling
+    for a negative seed or when samples times boxes exceed MC_TEST_BUDGET.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
@@ -208,7 +208,9 @@ def monte_carlo_union(
         size = min(remaining, _MC_CHUNK)
         columns = np.ascontiguousarray(measure.sample(rng, size).T)
         if sweep:
-            columns = columns.take(np.argsort(columns[0]), axis=1)
+            order = np.argsort(columns[0])
+            for column in columns:
+                column[:] = column[order]
             first = columns[0]
             starts = first.searchsorted(vertices[:, 0, 0], "left").tolist()
             stops = first.searchsorted(vertices[:, 1, 0], "right").tolist()

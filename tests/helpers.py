@@ -188,14 +188,15 @@ def two_call_simplex_min(c, a, b, crash=None):
     The solver as it was when each solve ran its own phase 1; the shared
     phase 1 is held to it bit for bit.  It drives the package's pivoting,
     rebuild and optimality loop.  A crash basis runs the package's phase 1
-    from it instead, again in every call, and its phase 2 prices by
-    steepest edge as the package's does after a crash start.
+    from it instead, again in every call, and its phase 2 starts from
+    phase 1's final tableau, prices by steepest edge and reads x_B by one
+    right-hand-side solve, as the package's does after a crash start.
     """
     if crash is not None:
         start, _ = bounding._phase1(a, b, crash)
         if start is None:
             return LpResult(status="infeasible")
-        return _phase2_of(c, list(start.basis), start.a, start.b, steepest=True)
+        return _phase2_of(c, list(start.basis), start.a, start.b, start.body)
     m, n = a.shape
     a = a.copy()
     b = b.copy()
@@ -235,18 +236,22 @@ def two_call_simplex_min(c, a, b, crash=None):
     return _phase2_of(c, [basis[i] for i in keep], a[keep], b[keep])
 
 
-def _phase2_of(c, basis, a2, b2, steepest=False):
+def _phase2_of(c, basis, a2, b2, body=None):
+    """Phase 2 from a fresh tableau of the basis, or from body after a crash start."""
     rows, n = a2.shape
     phase2 = np.zeros((rows + 1, n + 1))
-    bounding._rebuild(phase2, basis, a2, b2, c)
-    status, _ = bounding._pivot_until_optimal(phase2, basis, a2, b2, c, steepest)
+    bounding._rebuild(phase2, basis, a2, b2, c, body)
+    status, _ = bounding._pivot_until_optimal(phase2, basis, a2, b2, c, body is not None)
     if status == "unbounded":
         return LpResult(status="unbounded")
 
-    bounding._rebuild(phase2, basis, a2, b2, c)
     x = np.zeros(n)
-    for i, bj in enumerate(basis):
-        x[bj] = phase2[i, -1]
+    if body is None:
+        bounding._rebuild(phase2, basis, a2, b2, c)
+        for i, bj in enumerate(basis):
+            x[bj] = phase2[i, -1]
+    else:
+        x[basis] = np.linalg.solve(a2[:, basis], b2)
     np.clip(x, 0.0, None, out=x)
     return LpResult(
         status="optimal",
@@ -285,6 +290,60 @@ def all_atom_lp_bounds(system, target, r=None):
     own = np.concatenate([[0], masks[:, 0]])
     label = f"boolean(m={system.m})"
     return bounding._solve_pair(sizes, lo, hi, a_eq, b_eq, label, crash=own)
+
+
+def reference_boolean_rows(system):
+    """The atom LP's a_eq, b_eq, crash basis and atom sizes from system.p.
+
+    The assembly as it was before the rows came from the system's orders:
+    one frozenset lookup and one bitmask per subset from combinations, an
+    incidence over all 2^N atoms, then the rows with p_I <= 0 dropped with
+    every atom they cover.  The test oracle for bounding._atom_lp.
+    """
+    n = system.n_events
+    subsets = [c for k in range(1, system.m + 1) for c in combinations(range(n), k)]
+    masks = np.array([sum(1 << i for i in subset) for subset in subsets])[:, None]
+    incidence = (np.arange(1 << n) & masks) == masks
+    p = np.array([system.p[frozenset(subset)] for subset in subsets])
+    sizes = incidence[:n].sum(axis=0)
+    zero = p <= 0.0
+    atoms = ~incidence[zero].any(axis=0)
+    a_eq = np.vstack([np.ones(np.count_nonzero(atoms)), incidence[~zero][:, atoms]])
+    b_eq = np.concatenate([[1.0], p[~zero]])
+    own = np.concatenate([[0], masks[~zero, 0]])
+    crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
+    return a_eq, b_eq, crash, sizes[atoms]
+
+
+def full_body_phase2(c, start, pivots=0):
+    """bounding._phase2 with the reads every solve made before crash starts
+    took phase 1's tableau: phase 2 starts from a fresh B^-1 [a | b] of the
+    start's basis, and the solution is read from it, or from a fresh one if
+    the basis moved.  Patched in for _phase2, it gives the reference pairs
+    the crash-started reads are held to; the moment LPs read this way still.
+    """
+    basis = list(start.basis)
+    a2, b2 = start.a, start.b
+    body = bounding._body(a2, b2, start.basis)
+    rows, n = a2.shape
+    phase2 = np.empty((rows + 1, n + 1))
+    bounding._rebuild(phase2, basis, a2, b2, c, body)
+    status, moved = bounding._pivot_until_optimal(phase2, basis, a2, b2, c, start.crash)
+    pivots += moved
+    if status == "unbounded":
+        return LpResult(status="unbounded", pivots=pivots)
+    if moved:
+        body = bounding._body(a2, b2, basis)
+    x = np.zeros(n)
+    x[basis] = body[:, -1]
+    np.clip(x, 0.0, None, out=x)
+    return LpResult(
+        status="optimal",
+        value=float(c @ x) + 0.0,
+        solution=tuple(x.tolist()),
+        pivots=pivots,
+        _start=start,
+    )
 
 
 def _reference_number(value, what):

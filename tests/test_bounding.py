@@ -3,6 +3,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,19 +30,22 @@ from boxbounds.bounding import (
     union_bounds,
 )
 from boxbounds.bounding import _moment_rows
+from boxbounds.cli import load_document, parse_geometry
 from boxbounds.errors import InfeasibleBoundsError, InputError
-from boxbounds.geometry import Box
-from boxbounds.measure import ProductMeasure
+from boxbounds.geometry import Box, EmptinessMode
+from boxbounds.measure import PiecewiseCdf, ProductMeasure
 from boxbounds.oracle import exact_count_distribution
-from boxbounds.screening import MomentVector, binomial_moments
+from boxbounds.screening import MomentVector, binomial_moments, enumerate_tuples
 
 from helpers import (
     all_atom_lp_bounds,
     dawson_sankoff_lower,
+    full_body_phase2,
     lp_optimum_by_vertex_enumeration,
     moments_from_distribution,
     random_count_distribution,
     random_instance,
+    reference_boolean_rows,
     two_call_solve_lp,
     two_moment_upper,
 )
@@ -1174,6 +1178,199 @@ def test_a_kept_row_whose_own_atom_was_dropped_takes_an_artificial():
     assert crashes == [[0, 1, -1]] * 3
     assert [(pair.lower, pair.upper) for pair in pairs[:2]] == [(0.7, 0.7)] * 2
     assert pairs[2].lower == pairs[2].upper == pytest.approx(0.3, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the atom LP from the system's orders, against the frozenset assembly
+
+ROOT = Path(__file__).parent.parent
+
+
+def _admitted(n):
+    """The orders m whose atom LP over n events the cell budget admits."""
+    admitted = []
+    for m in range(1, n + 1):
+        try:
+            check_atom_cap(n, m)
+        except InputError:
+            break
+        admitted.append(m)
+    return admitted
+
+
+def _file_systems():
+    """Ledger systems of every geometry golden and both fixtures, at every admitted m."""
+    paths = sorted((ROOT / "tests" / "golden").glob("*.json")) + sorted(
+        (ROOT / "fixtures").glob("*.json")
+    )
+    for path in paths:
+        doc = load_document(str(path))
+        if path.name == "cli_stdout.json" or "boxes" not in doc:
+            continue
+        problem = parse_geometry(doc)
+        for m in _admitted(len(problem.boxes)):
+            yield boolean_system_from_boxes(problem.boxes, problem.measure, m)
+
+
+def _flat_piecewise_systems():
+    """Ledger systems under marginals flat on [40, 60]: the tuples whose meet
+    lies there on an axis are kept by the walk but carry probability 0.0."""
+    flat = PiecewiseCdf((0.0, 40.0, 60.0, 100.0), (0.0, 0.5, 0.5, 1.0))
+    for seed in range(6):
+        rng = np.random.default_rng(300 + seed)
+        n, dim = 6 + seed % 3, 2 + seed % 2
+        lower = rng.uniform(0.0, 70.0, (n, dim))
+        upper = lower + rng.uniform(10.0, 50.0, (n, dim))
+        boxes = [Box(f"A{i}", tuple(lo), tuple(hi))
+                 for i, (lo, hi) in enumerate(zip(lower, upper))]
+        for m in _admitted(n):
+            yield boolean_system_from_boxes(boxes, ProductMeasure((flat,) * dim), m)
+
+
+def _slack_systems():
+    """Dict systems whose zero p_I are moved within the 1e-12 slack: to
+    -5e-13, a zero row, or to 5e-13, a kept row whose own atom and
+    supersets' atoms a zero facet drops."""
+    for seed in range(12):
+        rng = np.random.default_rng(400 + seed)
+        n = 3 + seed % 4
+        forbidden = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))]
+        for m in range(1, n + 1):
+            p = _atom_p(rng, n, m, forbidden + [(int(rng.integers(n)),)] * (seed % 2))
+            for key, value in p.items():
+                if value == 0.0:
+                    p[key] = float(rng.choice([0.0, -5e-13, 5e-13]))
+            yield BooleanSystem(n, m, p)
+
+
+def _assert_atom_lp_matches_the_reference(system):
+    got = bounding._atom_lp(system)
+    want = reference_boolean_rows(system)
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == want_part.dtype and got_part.shape == want_part.shape
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+def test_atom_lp_matches_the_frozenset_assembly():
+    seen = {"files": 0, "m = 1": 0, "zero ledger rows": 0, "dropped own atom": 0, "slack": 0}
+    for system in _file_systems():
+        _assert_atom_lp_matches_the_reference(system)
+        seen["files"] += 1
+        seen["m = 1"] += system.m == 1
+    for n, overlapping in HIGHS_SHAPES:
+        for system, target, _, _ in _box_cases(n, overlapping):
+            if target == "union":
+                _assert_atom_lp_matches_the_reference(system)
+    for system in _flat_piecewise_systems():
+        _assert_atom_lp_matches_the_reference(system)
+        seen["zero ledger rows"] += any((values == 0.0).any() for _, values in system.orders)
+    for system in _slack_systems():
+        _assert_atom_lp_matches_the_reference(system)
+        values = np.array(list(system.p.values()))
+        seen["slack"] += bool(((values < 0.0) | (values == 5e-13)).any())
+        seen["dropped own atom"] += bool((bounding._atom_lp(system)[2] < 0).any())
+    assert min(seen.values()) > 0, seen
+
+
+def _first_error(call):
+    try:
+        call()
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_ledger_checks_raise_the_dict_messages(monkeypatch):
+    # One ledger probability moved out of range or above one of its
+    # facets', or to within the slack of either: the ledger's array checks
+    # raise what the dict system of the same p raises, or pass where it
+    # passes.
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        boxes, measure = _boxes(rng, int(rng.integers(3, 7)), bool(seed % 2))
+        n = len(boxes)
+        m = int(rng.integers(1, n + 1))
+        ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, m, measure)
+        p = {}
+        for k in range(1, m + 1):
+            given = ledger.probabilities(k)
+            for combo in combinations(range(n), k):
+                p[frozenset(combo)] = given.get(combo, 0.0)
+        monkeypatch.setattr(bounding, "enumerate_tuples", lambda *args: ledger)
+        for slack in (2e-12, 5e-13, -2e-12, -5e-13):
+            level = ledger.levels[int(rng.integers(1, len(ledger.levels) + 1))]
+            row = int(rng.integers(len(level)))
+            members = frozenset(level.indices[row].tolist())
+            if len(members) > 1 and slack > 0:  # above the facet without one member
+                value = p[members - {int(rng.choice(sorted(members)))}] + slack
+            else:  # out of [0, 1], or not by more than the slack
+                value = (1.0 if slack > 0 else 0.0) + slack
+            kept = level.probability
+            level.probability = kept.copy()
+            level.probability[row] = value
+            want = _first_error(lambda: BooleanSystem(n, m, {**p, members: value}))
+            assert _first_error(lambda: boolean_system_from_boxes(boxes, measure, m)) == want
+            level.probability = kept
+            kind = "passes" if want is None else "range" if "probability" in want else "facet"
+            outcomes.add(kind)
+    assert outcomes == {"passes", "range", "facet"}
+
+
+# ---------------------------------------------------------------------------
+# crash-started reads against the full-body reads
+
+
+def _reads_corpus():
+    """(system, target, r) of Boolean bound pairs, zero p_I and small p_I included."""
+    for n, overlapping in BOX_SHAPES:
+        for extent in (100.0, 1e6):
+            for system, target, r, _ in _box_cases(n, overlapping, extent):
+                yield system, target, r
+    for label, n, top, build in _corpus():
+        for m in range(1, top + 1):
+            system = build(m)
+            for target, r in (("union", None), ("atleast", 2), ("exactly", 1)):
+                yield system, target, r
+    for draw in range(3):  # (8, 4) on overlapping boxes, the slowest admitted shape
+        boxes, measure = _boxes(np.random.default_rng(1000 + draw), 8, True)
+        yield boolean_system_from_boxes(boxes, measure, 4), "union", None
+
+
+def test_crash_started_pairs_match_the_full_body_reads():
+    # Each optimum of a crash start reads x_B by one right-hand-side solve,
+    # after a phase 2 from phase 1's final tableau; both ends of every
+    # Boolean bound pair stay within 1e-12 of the fresh B^-1 [A | b] reads.
+    pairs = 0
+    for system, target, r in _reads_corpus():
+        got = boolean_lp_bounds(system, target, r)
+        with mock.patch.object(bounding, "_phase2", full_body_phase2):
+            want = boolean_lp_bounds(system, target, r)
+        assert got.lower == pytest.approx(want.lower, abs=1e-12)
+        assert got.upper == pytest.approx(want.upper, abs=1e-12)
+        pairs += 1
+    assert pairs == 354
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_moment_lps_keep_the_full_body_reads(data):
+    # The moment LPs, which pass no crash basis, read as before bit for bit.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, min(n, 6)))
+    moments = moments_from_distribution(random_count_distribution(rng, n), m)
+    r = data.draw(st.integers(1, n))
+    bound = data.draw(st.sampled_from([
+        lambda: union_bounds(moments, m, include_p0=True),
+        lambda: atleast_r_bounds(moments, r, m),
+        lambda: exactly_r_bounds(moments, r - 1, m),
+        lambda: q_atleast_bounds(moments, r, m),
+    ]))
+    got = bound()
+    with mock.patch.object(bounding, "_phase2", full_body_phase2):
+        want = bound()
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------

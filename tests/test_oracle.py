@@ -419,8 +419,9 @@ def test_monte_carlo_sweep_memory():
     # holds alone, and each marginal works in its row, so sampling peaks at
     # 24.0 MiB under uniform and piecewise marginals alike (28.0 and 36.5
     # MiB when each marginal's quantiles came back in a new array).  The
-    # sweep sets the run's peak at 28.0 MiB: the points, the 4 MiB argsort
-    # of the first axis and the 12 MiB sorted copy.
+    # sweep sorts the points row by row, holding the 4 MiB argsort of the
+    # first axis and one 4 MiB gathered row next to them, so sampling sets
+    # the run's peak too (28.0 MiB when the sort gathered a 12 MiB copy).
     rng = np.random.default_rng(5)
     lower = rng.uniform(0.0, 0.9, size=(100, 3))
     boxes = [Box(f"A{i + 1}", lo, lo + 0.05) for i, lo in enumerate(lower)]
@@ -433,7 +434,7 @@ def test_monte_carlo_sweep_memory():
     for measure in (ProductMeasure.uniform((0.0,) * 3, (1.0,) * 3), ProductMeasure(piecewise)):
         for run, peak_mib in (
             (lambda: measure.sample(np.random.default_rng(3), _MC_CHUNK), 24.0),
-            (lambda: monte_carlo_union(boxes, measure, _MC_CHUNK, 3), 28.0),
+            (lambda: monte_carlo_union(boxes, measure, _MC_CHUNK, 3), 24.0),
         ):
             tracemalloc.start()
             try:
