@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, inf
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,55 +139,61 @@ class BooleanSystem:
 
     Built from p, a mapping keyed by iterables (frozensets, say) of 0-based
     event indices: every subset of size 1..m must be present, and values
-    must be probabilities, within 1e-12, that do not grow by more than
-    1e-12 when the subset grows.  boolean_system_from_boxes builds one
-    from a ledger's arrays instead, with the same checks and messages made
-    by array operations, where a subset the ledger left out has p = 0.
-    Either way the system holds ``orders``, per order k = 1..m the pair of
-    an ``(F, k)`` array of subsets in lexicographic order and their
-    ``(F,)`` probabilities: the rows the atom LP is built from.  ``p``,
-    the dict over every subset up to order m, is built on first read.
+    must be real numbers that are probabilities, within 1e-12, and do not
+    grow by more than 1e-12 when the subset grows.  boolean_system_from_boxes
+    builds one from a ledger's orders instead, where a subset the ledger
+    left out has p = 0.  Either way _hold checks the orders and holds them
+    as ``orders``, per order k = 1..m the pair of an ``(F, k)`` array of
+    subsets in lexicographic order and their ``(F,)`` probabilities: the
+    rows the atom LP is built from.  ``p``, the dict over every subset up
+    to order m, is built on first read.  The first fault raises: a bad key
+    or a value that is not a real number, in dict order; then the first
+    missing subset, p out of [0, 1] and p above a facet's, each by order
+    and then row.
     """
 
     def __init__(self, n_events: int, m: int, p: Mapping[frozenset[int], float]) -> None:
         if n_events < 1:
             raise InputError("Boolean system needs at least one event")
         check_order(m, n_events)
-        normalized: dict[frozenset[int], float] = {}
+        given: dict[tuple[int, ...], float] = {}
         for key, value in p.items():
-            subset = frozenset(int(i) for i in key)
+            subset = sorted(frozenset(int(i) for i in key))
             if not subset:
                 raise InputError("p keys must be nonempty index subsets")
             if not all(0 <= i < n_events for i in subset):
-                raise InputError(f"subset {sorted(subset)} out of range")
+                raise InputError(f"subset {subset} out of range")
             if len(subset) > m:
-                raise InputError(f"subset {sorted(subset)} exceeds order m={m}")
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise InputError(f"p[{sorted(subset)}] = {value} is not a probability")
-            normalized[subset] = float(value)
-        orders = []
-        for k in range(1, m + 1):
-            combos = list(combinations(range(n_events), k))
-            values = [normalized.get(frozenset(combo)) for combo in combos]
+                raise InputError(f"subset {subset} exceeds order m={m}")
+            _check_real(value, f"p[{subset}]")
+            try:
+                given[tuple(subset)] = float(value)
+            except OverflowError:  # an integer past the float range
+                given[tuple(subset)] = inf if value > 0 else -inf
+        # the subsets as the walk lays out the cliques of the complete graph
+        levels = [LedgerOrder(None, None, np.arange(n_events), None, None)]
+        while len(levels) < m:
+            parent = levels[-1]
+            later = n_events - 1 - parent.w
+            f = np.repeat(np.arange(len(parent)), later)
+            offset = np.cumsum(later) - later - parent.w - 1  # row f's run starts at w[f] + 1
+            levels.append(LedgerOrder(parent, f, np.arange(len(f)) - offset[f], None, None))
+        for level in levels:
+            values = list(map(given.get, map(tuple, level.indices.tolist())))
             if None in values:
-                raise InputError(f"missing p entry for subset {list(combos[values.index(None)])}")
-            orders.append((np.array(combos, dtype=np.intp).reshape(-1, k), np.array(values)))
-        for subset, value in normalized.items():
-            if len(subset) < 2:
-                continue
-            for i in subset:
-                if value > normalized[subset - {i}] + 1e-12:
-                    raise InputError(
-                        f"p[{sorted(subset)}] exceeds p[{sorted(subset - {i})}]"
-                    )
-        self.n_events, self.m, self.orders = n_events, m, tuple(orders)
+                missing = level.indices[values.index(None)].tolist()
+                raise InputError(f"missing p entry for subset {missing}")
+            level.probability = np.array(values)
+        self._hold(n_events, m, levels)
 
-    @classmethod
-    def _of_orders(cls, n_events: int, m: int, orders) -> BooleanSystem:
-        """A system of checked orders, as BooleanSystem holds them."""
-        system = cls.__new__(cls)
-        system.n_events, system.m, system.orders = n_events, m, tuple(orders)
-        return system
+    def _hold(self, n_events: int, m: int, levels: Sequence[LedgerOrder]) -> None:
+        """Check levels 1..k and hold them as orders 1..m, those above k empty."""
+        if levels:
+            _check_levels(levels, n_events)
+        orders = [(level.indices, level.probability) for level in levels]
+        for k in range(len(levels) + 1, m + 1):
+            orders.append((np.empty((0, k), dtype=np.intp), np.empty(0)))
+        self.n_events, self.m, self.orders = n_events, m, tuple(orders)
 
     @cached_property
     def p(self) -> dict[frozenset[int], float]:
@@ -552,6 +559,14 @@ def _moment_rows(moments: MomentVector, m: int, start: int, q: float | None = No
     return a_eq, b_eq
 
 
+def _check_real(value, what: str) -> None:
+    """Raise the InputError of a value that is not a real number, bool and
+    numpy scalars accepted; what names the value's place.  float comes
+    first, as the abstract Real check is many times slower."""
+    if not isinstance(value, (float, Real, np.bool_)):
+        raise InputError(f"{what} = {value!r} is not a real number")
+
+
 def check_order(m: int, available: int) -> None:
     """Raise the InputError of an order m outside 1..available events or moments."""
     if not 1 <= m <= available:
@@ -696,6 +711,7 @@ def hunter_worsley_upper(
         i, j = (int(key[0]), int(key[1]))
         if i == j or not (0 <= i < n_events and 0 <= j < n_events):
             raise InputError(f"bad pair key {key!r}")
+        _check_real(value, f"pairwise probability of pair {key!r}")
         if not -1e-12 <= value <= 1.0 + 1e-12:
             raise InputError(f"pairwise probability {value} is not in [0, 1]")
         pair = (i, j) if i < j else (j, i)
@@ -748,13 +764,14 @@ def pairwise_probabilities(
 # Boolean atom LP
 
 
-def _check_ledger_orders(levels: Sequence[LedgerOrder], n: int) -> None:
-    """BooleanSystem's checks on ledger orders 1..k, with its messages.
+def _check_levels(levels: Sequence[LedgerOrder], n: int) -> None:
+    """BooleanSystem's checks on its orders 1..k, by array operations.
 
-    Each row's p must be a probability within 1e-12 (first failure in
-    order and lexicographically), then at most p of each of its facets,
-    the row without one member, plus 1e-12.  Every facet of a row is a
-    row of the order below, as every subset of a clique is a clique.
+    Each row's p must be a probability within 1e-12, then at most p of
+    each of its facets, the row without one member, plus 1e-12: the first
+    failure by order and row raises, naming the first facet it exceeds.
+    Every facet of a row is a row of the order below, as every subset of
+    a clique is a clique.
     """
     for level in levels:
         p = level.probability
@@ -778,8 +795,8 @@ def _check_ledger_orders(levels: Sequence[LedgerOrder], n: int) -> None:
         if worse.any():
             row = int(worse.any(axis=1).argmax())
             members = level.indices[row].tolist()
-            i = next(i for i in frozenset(members) if worse[row, members.index(i)])
-            raise InputError(f"p[{members}] exceeds p[{sorted(set(members) - {i})}]")
+            j = int(worse[row].argmax())
+            raise InputError(f"p[{members}] exceeds p[{members[:j] + members[j + 1:]}]")
 
 
 def boolean_system_from_boxes(
@@ -793,13 +810,9 @@ def boolean_system_from_boxes(
     n = len(boxes)
     check_order(m, n)
     ledger = enumerate_tuples(boxes, EmptinessMode.POSITIVE_MEASURE, m, measure)
-    levels = [ledger.levels[k] for k in sorted(ledger.levels)]
-    if levels:
-        _check_ledger_orders(levels, n)
-    orders = [(level.indices, level.probability) for level in levels]
-    for k in range(len(levels) + 1, m + 1):  # orders with no surviving tuple
-        orders.append((np.empty((0, k), dtype=np.intp), np.empty(0)))
-    return BooleanSystem._of_orders(n, m, orders)
+    system = BooleanSystem.__new__(BooleanSystem)
+    system._hold(n, m, [ledger.levels[k] for k in sorted(ledger.levels)])
+    return system
 
 
 def check_atom_cap(n_events: int, m: int) -> None:

@@ -1,5 +1,6 @@
 """Shared fixtures and independent test-side oracles."""
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, floor, fsum, inf
 
@@ -313,6 +314,41 @@ def reference_boolean_rows(system):
     own = np.concatenate([[0], masks[~zero, 0]])
     crash = np.where(atoms[own], np.cumsum(atoms)[own] - 1, -1)
     return a_eq, b_eq, crash, sizes[atoms]
+
+
+def reference_boolean_checks(n, m, p):
+    """BooleanSystem's checks of p over n events to order m, one subset at
+    a time, raising the InputError of the first fault in the documented
+    order: a bad key or a value that is not a real number, in dict order;
+    then the first missing subset, the first p out of [0, 1] and the first
+    p above one of its facets', each by order, then lexicographically, and
+    for a facet by the position of the member it leaves out.  The test
+    oracle for both of bounding's paths to a system.
+    """
+    given = {}
+    for key, value in p.items():
+        subset = tuple(sorted(set(int(i) for i in key)))
+        if not subset:
+            raise InputError("p keys must be nonempty index subsets")
+        if min(subset) < 0 or max(subset) >= n:
+            raise InputError(f"subset {list(subset)} out of range")
+        if len(subset) > m:
+            raise InputError(f"subset {list(subset)} exceeds order m={m}")
+        if not isinstance(value, (int, float, Fraction, np.bool_, np.integer, np.floating)):
+            raise InputError(f"p[{list(subset)}] = {value!r} is not a real number")
+        given[subset] = float(value)
+    subsets = [c for k in range(1, m + 1) for c in combinations(range(n), k)]
+    for subset in subsets:
+        if subset not in given:
+            raise InputError(f"missing p entry for subset {list(subset)}")
+    for subset in subsets:
+        if not -1e-12 <= given[subset] <= 1.0 + 1e-12:
+            raise InputError(f"p[{list(subset)}] = {given[subset]} is not a probability")
+    for subset in subsets:
+        for j in range(len(subset) if len(subset) > 1 else 0):
+            facet = subset[:j] + subset[j + 1:]
+            if given[subset] > given[facet] + 1e-12:
+                raise InputError(f"p[{list(subset)}] exceeds p[{list(facet)}]")
 
 
 def full_body_phase2(c, start, pivots=0):

@@ -1,7 +1,7 @@
 import re
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -45,6 +45,7 @@ from helpers import (
     moments_from_distribution,
     random_count_distribution,
     random_instance,
+    reference_boolean_checks,
     reference_boolean_rows,
     two_call_solve_lp,
     two_moment_upper,
@@ -1282,9 +1283,9 @@ def _first_error(call):
 
 def test_ledger_checks_raise_the_dict_messages(monkeypatch):
     # One ledger probability moved out of range or above one of its
-    # facets', or to within the slack of either: the ledger's array checks
-    # raise what the dict system of the same p raises, or pass where it
-    # passes.
+    # facets', or to within the slack of either: the system from the
+    # ledger and the system from the dict of the same p both raise what
+    # the per-subset reference checks raise, or pass where they pass.
     outcomes = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -1309,12 +1310,107 @@ def test_ledger_checks_raise_the_dict_messages(monkeypatch):
             kept = level.probability
             level.probability = kept.copy()
             level.probability[row] = value
-            want = _first_error(lambda: BooleanSystem(n, m, {**p, members: value}))
+            moved = {**p, members: value}
+            want = _first_error(lambda: reference_boolean_checks(n, m, moved))
+            assert _first_error(lambda: BooleanSystem(n, m, moved)) == want
             assert _first_error(lambda: boolean_system_from_boxes(boxes, measure, m)) == want
             level.probability = kept
             kind = "passes" if want is None else "range" if "probability" in want else "facet"
             outcomes.add(kind)
     assert outcomes == {"passes", "range", "facet"}
+
+
+def _product_p(marginals, m):
+    """p of independent events with these marginals, every subset to order m."""
+    return {
+        frozenset(combo): float(np.prod([marginals[i] for i in combo]))
+        for k in range(1, m + 1)
+        for combo in combinations(range(len(marginals)), k)
+    }
+
+
+@pytest.mark.parametrize("n, m, edits, message", [
+    pytest.param(3, 2, {frozenset({0}): 1.5, frozenset({1, 2}): None},
+                 "missing p entry for subset [1, 2]", id="missing subset and p out of range"),
+    pytest.param(3, 3, {frozenset({0, 1, 2}): -0.25, frozenset({2}): 1.25},
+                 "p[[2]] = 1.25 is not a probability", id="p out of range at two orders"),
+    pytest.param(4, 3, {frozenset({1, 2, 3}): 0.3},
+                 "p[[1, 2, 3]] exceeds p[[2, 3]]", id="three exceeded facets of one row"),
+    pytest.param(10, 2, {frozenset({3, 9}): 0.5},
+                 "p[[3, 9]] exceeds p[[9]]", id="two exceeded facets, a member past 8"),
+    pytest.param(4, 3, {frozenset({0, 1, 3}): 0.3, frozenset({2, 3}): 0.3},
+                 "p[[2, 3]] exceeds p[[3]]", id="facet faults at two orders"),
+    pytest.param(3, 2, {frozenset({0}): 2.0, frozenset({0, 5}): 0.1},
+                 "subset [0, 5] out of range", id="bad key after a range fault"),
+])
+def test_first_fault_of_several(n, m, edits, message):
+    # The first fault in the documented order, from both paths and the
+    # reference: key faults, then a missing subset, then p out of range,
+    # then a facet, each by order and then row, naming the facet without
+    # the earliest member it exceeds.
+    p = _product_p(((0.5, 0.4, 0.3, 0.2) * 3)[:n], m)
+    for key, value in edits.items():
+        if value is None:
+            del p[key]
+        else:
+            p[key] = value
+    assert _first_error(lambda: reference_boolean_checks(n, m, p)) == message
+    assert _first_error(lambda: BooleanSystem(n, m, p)) == message
+
+
+@pytest.mark.parametrize("value", ["0.5", None, 1 + 0j, np.complex128(0.5), b"0.5"],
+                         ids=["str", "None", "complex", "numpy complex", "bytes"])
+@pytest.mark.parametrize("call, where", [
+    pytest.param(
+        lambda v: BooleanSystem(2, 2, {**_product_p((0.5, 0.4), 2), frozenset({1, 0}): v}),
+        "p[[0, 1]]", id="BooleanSystem"),
+    pytest.param(
+        lambda v: hunter_worsley_upper(0.9, {(0, 1): 0.1, (1, 2): v}, 3),
+        "pairwise probability of pair (1, 2)", id="hunter_worsley_upper"),
+])
+def test_values_that_are_not_real_numbers_raise(call, where, value):
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{where} = {value!r} is not a real number"
+
+
+def test_bool_and_numpy_scalar_values_are_accepted():
+    for value in (True, np.True_, np.float32(0.25), np.float64(0.25), np.int64(0)):
+        p = {**_product_p((1.0, 1.0), 2), frozenset({0, 1}): value}
+        assert BooleanSystem(2, 2, p).p[frozenset({0, 1})] == float(value)
+        assert hunter_worsley_upper(0.9, {(0, 1): value}, 2) == 0.9 - float(value)
+
+
+def test_dict_orders_keep_their_layout():
+    # A dict system holds per order every subset as an (F, k) intp array
+    # in lexicographic order, and its p as float64, as combinations lays
+    # them out.
+    for n in range(1, 10):
+        p = _product_p(np.linspace(0.9, 0.1, n).tolist(), n)
+        for m in range(1, n + 1):
+            system = BooleanSystem(n, m, {key: v for key, v in p.items() if len(key) <= m})
+            assert len(system.orders) == m
+            for k, (subsets, values) in enumerate(system.orders, 1):
+                combos = list(combinations(range(n), k))
+                want = np.array(combos)
+                want_p = np.array([p[frozenset(combo)] for combo in combos])
+                assert subsets.dtype == np.intp and values.dtype == np.float64
+                assert subsets.shape == want.shape and values.shape == want_p.shape
+                assert subsets.tobytes() == want.tobytes()
+                assert values.tobytes() == want_p.tobytes()
+
+
+def test_dict_and_ledger_systems_build_one_atom_lp():
+    # The dict system of a ledger system's p, zero rows included, gives
+    # its atom LP byte for byte.
+    zero_rows = 0
+    for system in chain(_file_systems(), _flat_piecewise_systems()):
+        again = BooleanSystem(system.n_events, system.m, system.p)
+        for got, want in zip(bounding._atom_lp(again), bounding._atom_lp(system)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        zero_rows += any((values == 0.0).any() for _, values in again.orders)
+    assert zero_rows
 
 
 # ---------------------------------------------------------------------------
