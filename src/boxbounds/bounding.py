@@ -25,6 +25,7 @@ hundred rows, so a dense tableau is plenty.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -68,6 +69,8 @@ class LpProblem:
     Any nested sequence of numbers is accepted; the data are stored as
     read-only float64 copies of shapes (n,), (rows, n) and (rows,).
     Problems compare by identity, as arrays have no single truth value.
+    flipped gives the problem under the other sense without copying or
+    checking the data again.
     """
 
     objective: np.ndarray
@@ -98,6 +101,12 @@ class LpProblem:
         for name, data in (("objective", objective), ("a_eq", a_eq), ("b_eq", b_eq)):
             data.flags.writeable = False
             object.__setattr__(self, name, data)
+
+    def flipped(self) -> LpProblem:
+        """This problem under the other sense, sharing its read-only arrays."""
+        problem = copy(self)
+        object.__setattr__(problem, "sense", "max" if self.sense == "min" else "min")
+        return problem
 
     @property
     def n_vars(self) -> int:
@@ -140,16 +149,19 @@ class BooleanSystem:
     Built from p, a mapping keyed by iterables (frozensets, say) of 0-based
     event indices: every subset of size 1..m must be present, and values
     must be real numbers that are probabilities, within 1e-12, and do not
-    grow by more than 1e-12 when the subset grows.  boolean_system_from_boxes
-    builds one from a ledger's orders instead, where a subset the ledger
-    left out has p = 0.  Either way _hold checks the orders and holds them
-    as ``orders``, per order k = 1..m the pair of an ``(F, k)`` array of
-    subsets in lexicographic order and their ``(F,)`` probabilities: the
-    rows the atom LP is built from.  ``p``, the dict over every subset up
-    to order m, is built on first read.  The first fault raises: a bad key
-    or a value that is not a real number, in dict order; then the first
-    missing subset, p out of [0, 1] and p above a facet's, each by order
-    and then row.
+    grow by more than 1e-12 when the subset grows.  A subset given more
+    than once must have equal values or values within 1e-12 of each other
+    (so NaN conflicts with every value), and the last is held.
+    boolean_system_from_boxes builds one from a ledger's orders instead,
+    where a subset the ledger left out has p = 0.  Either way _hold checks
+    the orders and holds them as ``orders``, per order k = 1..m the pair of
+    an ``(F, k)`` array of subsets in lexicographic order and their
+    ``(F,)`` probabilities: the rows the atom LP is built from.  ``p``,
+    the dict over every subset up to order m, is built on first read.  The
+    first fault raises: a bad key, a value that is not a real number or
+    one that conflicts with an earlier value of its subset, in dict order;
+    then the first missing subset, p out of [0, 1] and p above a facet's,
+    each by order and then row.
     """
 
     def __init__(self, n_events: int, m: int, p: Mapping[frozenset[int], float]) -> None:
@@ -167,9 +179,14 @@ class BooleanSystem:
                 raise InputError(f"subset {subset} exceeds order m={m}")
             _check_real(value, f"p[{subset}]")
             try:
-                given[tuple(subset)] = float(value)
+                value = float(value)
             except OverflowError:  # an integer past the float range
-                given[tuple(subset)] = inf if value > 0 else -inf
+                value = inf if value > 0 else -inf
+            at = tuple(subset)
+            # NaN conflicts with every value, an infinity with every other one
+            if at in given and not (given[at] == value or abs(given[at] - value) <= 1e-12):
+                raise InputError(f"conflicting values for subset {subset}")
+            given[at] = value
         # the subsets as the walk lays out the cliques of the complete graph
         levels = [LedgerOrder(None, None, np.arange(n_events), None, None)]
         while len(levels) < m:
@@ -521,8 +538,8 @@ def _solve_pair(
     objective = ((counts >= lo) & (counts <= hi)).astype(float)
     values = []
     start = None  # phase 1 runs once, in the min solve
-    for sense in ("min", "max"):
-        problem = LpProblem(objective, sense, a_eq, b_eq)
+    minimize = LpProblem(objective, "min", a_eq, b_eq)  # copies and checks the rows once
+    for problem in (minimize, minimize.flipped()):
         result = solve_lp(problem, start, crash=crash)
         if result.status != "optimal":
             raise InfeasibleBoundsError(
@@ -713,7 +730,7 @@ def hunter_worsley_upper(
             raise InputError(f"bad pair key {key!r}")
         _check_real(value, f"pairwise probability of pair {key!r}")
         if not -1e-12 <= value <= 1.0 + 1e-12:
-            raise InputError(f"pairwise probability {value} is not in [0, 1]")
+            raise InputError(f"pairwise probability of pair {key!r} = {value} is not in [0, 1]")
         pair = (i, j) if i < j else (j, i)
         if pair in weights and abs(weights[pair] - value) > 1e-12:
             raise InputError(f"conflicting values for pair {pair}")
@@ -789,9 +806,9 @@ def _check_levels(levels: Sequence[LedgerOrder], n: int) -> None:
     facets = np.zeros((len(levels[0]), 1), dtype=np.intp)
     for parent, level in zip(levels, levels[1:]):
         keys = parent.w if parent.f is None else parent.f * n + parent.w
-        others = keys.searchsorted(facets[level.f] * n + level.w[:, None])
+        others = keys.searchsorted(facets.take(level.f, axis=0) * n + level.w[:, None])
         facets = np.column_stack((others, level.f))
-        worse = level.probability[:, None] > parent.probability[facets] + 1e-12
+        worse = level.probability[:, None] > parent.probability.take(facets) + 1e-12
         if worse.any():
             row = int(worse.any(axis=1).argmax())
             members = level.indices[row].tolist()

@@ -168,18 +168,20 @@ Marginal = Union[UniformInterval, PiecewiseCdf]
 
 
 def clamped_product(lower_cdfs: np.ndarray, upper_cdfs: np.ndarray) -> np.ndarray:
-    """Box probabilities from the CDF values of their ``(F, d)`` vertex arrays.
+    """Box probabilities from the CDF values of their vertices, ``(d, F)``.
 
-    Row f is the product over coordinates k, left to right, of
-    ``upper_cdfs[f, k] - lower_cdfs[f, k]`` clamped at zero: the float
+    Row k of each array holds coordinate k's CDF values of the F boxes, as
+    the walk gathers them, one contiguous row per coordinate.  Box f's
+    probability is the product over coordinates k, top row to bottom, of
+    ``upper_cdfs[k, f] - lower_cdfs[k, f]`` clamped at zero: the float
     operations of rect_probability, whose early return on a zero product
     changes nothing, as every factor is finite and nonnegative.
     """
     d = upper_cdfs - lower_cdfs
     factors = np.where(d > 0.0, d, 0.0)
-    p = factors[:, 0].copy()
-    for k in range(1, factors.shape[1]):
-        p *= factors[:, k]
+    p = factors[0].copy()
+    for row in factors[1:]:
+        p *= row
     return p
 
 
@@ -235,9 +237,10 @@ class ProductMeasure:
     def rect_probabilities(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """rect_probability of every row of two ``(F, dimension)`` vertex arrays.
 
-        The CDFs of both vertex arrays go through clamped_product, whose
-        float operations and their order are rect_probability's, so each
-        entry equals the scalar result bit for bit.
+        The CDFs of both vertex arrays, transposed to one row per
+        coordinate, go through clamped_product, whose float operations and
+        their order are rect_probability's, so each entry equals the scalar
+        result bit for bit.
         """
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
@@ -246,7 +249,7 @@ class ProductMeasure:
                 f"vertex arrays of shapes {lower.shape} and {upper.shape} do not "
                 f"match measure dimension {self.dimension}"
             )
-        return clamped_product(self.cdf_table(lower), self.cdf_table(upper))
+        return clamped_product(self.cdf_table(lower).T, self.cdf_table(upper).T)
 
     def cdf_table(self, x: np.ndarray) -> np.ndarray:
         """Marginal k's cdf of every coordinate k of a ``(..., dimension)`` array."""

@@ -319,10 +319,12 @@ def reference_boolean_rows(system):
 def reference_boolean_checks(n, m, p):
     """BooleanSystem's checks of p over n events to order m, one subset at
     a time, raising the InputError of the first fault in the documented
-    order: a bad key or a value that is not a real number, in dict order;
-    then the first missing subset, the first p out of [0, 1] and the first
-    p above one of its facets', each by order, then lexicographically, and
-    for a facet by the position of the member it leaves out.  The test
+    order: a bad key, a value that is not a real number or one that is
+    neither equal to nor within 1e-12 of an earlier value of its subset
+    (so NaN conflicts with every value), in dict order; then the first
+    missing subset, the first p out of [0, 1] and the first p above one of
+    its facets', each by order, then lexicographically, and for a facet by
+    the position of the member it leaves out.  The test
     oracle for both of bounding's paths to a system.
     """
     given = {}
@@ -336,6 +338,10 @@ def reference_boolean_checks(n, m, p):
             raise InputError(f"subset {list(subset)} exceeds order m={m}")
         if not isinstance(value, (int, float, Fraction, np.bool_, np.integer, np.floating)):
             raise InputError(f"p[{list(subset)}] = {value!r} is not a real number")
+        if subset in given:
+            held = given[subset]
+            if held != float(value) and not abs(held - float(value)) <= 1e-12:
+                raise InputError(f"conflicting values for subset {list(subset)}")
         given[subset] = float(value)
     subsets = [c for k in range(1, m + 1) for c in combinations(range(n), k)]
     for subset in subsets:

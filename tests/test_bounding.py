@@ -148,6 +148,11 @@ def test_lp_problem_stores_read_only_float_copies():
     assert (problem.n_rows, problem.n_vars) == (2, 2)
     assert problem == problem
     assert problem != LpProblem(objective, "max", a_eq, b_eq)
+    # a bound pair's max problem shares the checked arrays of its min problem
+    flipped = problem.flipped()
+    assert (flipped.sense, flipped.flipped().sense) == ("min", "max")
+    for name in ("objective", "a_eq", "b_eq"):
+        assert getattr(flipped, name) is getattr(problem, name)
 
 
 def test_three_event_two_moment_instance_against_vertex_enumeration():
@@ -506,7 +511,8 @@ def test_hunter_worsley_validation():
         hunter_worsley_upper(0.5, {(0, 0): 0.1}, 2)
     with pytest.raises(InputError):
         hunter_worsley_upper(0.5, {(0, 3): 0.1}, 2)
-    with pytest.raises(InputError):
+    message = "pairwise probability of pair (0, 1) = 1.2 is not in [0, 1]"
+    with pytest.raises(InputError, match=re.escape(message)):
         hunter_worsley_upper(0.5, {(0, 1): 1.2}, 2)
 
 
@@ -1356,6 +1362,37 @@ def test_first_fault_of_several(n, m, edits, message):
             p[key] = value
     assert _first_error(lambda: reference_boolean_checks(n, m, p)) == message
     assert _first_error(lambda: BooleanSystem(n, m, p)) == message
+
+
+@pytest.mark.parametrize("p, message", [
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): 0.1, (1, 0): 0.4, (0, 0, 1): 0.2},
+                 "conflicting values for subset [0, 1]", id="three keys of one subset"),
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): 0.2, (1, 0): 0.2 + 2e-12},
+                 "conflicting values for subset [0, 1]", id="just past the slack"),
+    pytest.param({(0,): 1.5, (0, 1): 0.1, (1, 0): 0.3},
+                 "conflicting values for subset [0, 1]", id="before a missing subset and a range fault"),
+    pytest.param({(0,): 0.5, (0, 1): 0.1, (1, 0): 0.3, (0, 5): 0.1},
+                 "conflicting values for subset [0, 1]", id="before a later bad key"),
+    pytest.param({(0,): 0.5, (0, 5): 0.1, (0, 1): 0.1, (1, 0): 0.3},
+                 "subset [0, 5] out of range", id="after an earlier bad key"),
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): float("nan"), (1, 0): 0.3},
+                 "conflicting values for subset [0, 1]", id="NaN then a probability"),
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): float("nan"), (1, 0): float("nan")},
+                 "conflicting values for subset [0, 1]", id="NaN twice"),
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): float("inf"), (1, 0): float("inf")},
+                 "p[[0, 1]] = inf is not a probability", id="an equal infinity"),
+    pytest.param({(0,): 0.5, (1,): 0.5, (0, 1): 0.2, (1, 0): 0.2 + 5e-13, frozenset({0, 1}): 0.2},
+                 None, id="repeats within the slack"),
+])
+def test_conflicting_repeats_of_a_subset(p, message):
+    # A subset given twice with values more than 1e-12 apart raises in
+    # dict order, as hunter_worsley_upper does for its pairs, and so does
+    # a NaN, which a later value would otherwise hide; repeats within the
+    # slack pass, and the last value is held.
+    assert _first_error(lambda: reference_boolean_checks(2, 2, p)) == message
+    assert _first_error(lambda: BooleanSystem(2, 2, p)) == message
+    if message is None:
+        assert BooleanSystem(2, 2, p).p[frozenset({0, 1})] == list(p.values())[-1]
 
 
 @pytest.mark.parametrize("value", ["0.5", None, 1 + 0j, np.complex128(0.5), b"0.5"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from boxbounds.bounding import boolean_system_from_boxes, pairwise_probabilities
 from boxbounds.errors import InputError
 from boxbounds.geometry import Box
-from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval
+from boxbounds.measure import PiecewiseCdf, ProductMeasure, UniformInterval, clamped_product
 from boxbounds.oracle import monte_carlo_union
 
 from helpers import ULP_KNOTS, ULP_VALUES, random_instance, reference_piecewise_ppf
@@ -245,6 +245,27 @@ def test_rect_probabilities_match_rect_probability_bitwise(case):
     expected = [measure.rect_probability(lo, hi) for lo, hi in zip(lower, upper)]
     # repr tells 0.0 from -0.0 and shows every bit of the mantissa
     assert [repr(p) for p in got.tolist()] == [repr(p) for p in expected]
+
+
+def test_clamped_product_of_per_coordinate_rows_matches_rect_probability():
+    # clamped_product takes one contiguous (F,) row per coordinate, as the
+    # walk gathers them, on signed zeros, infinite vertices, zero widths,
+    # inverted sides and a flat piecewise segment: rect_probability's bits.
+    measure = ProductMeasure((MARGINALS[3], MARGINALS[2], MARGINALS[0]))
+    lower = [[-0.0, -inf, -1.0], [0.0, 0.5, -0.0], [0.3, -1.0, 0.0], [0.35, 0.0, -inf],
+             [-inf, -inf, -inf], [0.5, 2.0, 1.5], [0.1, 0.5, 0.25], [0.3, -0.0, 0.5],
+             [0.1, 0.5, -0.0], [-inf, -0.0, -inf]]
+    upper = [[0.0, inf, 1.5], [0.5, 0.5, 0.0], [0.5, 2.0, 1.0], [0.45, 0.0, inf],
+             [inf, inf, inf], [0.3, 2.0, 1.5], [0.9, 1.75, 0.25], [0.5, 0.0, 0.75],
+             [0.9, 1.75, 1.0], [0.4, inf, 0.0]]
+    rows = [measure.cdf_table(np.array(side)).T.copy() for side in (lower, upper)]
+    assert rows[0].shape == (measure.dimension, len(lower)) and rows[0].flags.c_contiguous
+    got = clamped_product(*rows)
+    expected = [measure.rect_probability(lo, hi) for lo, hi in zip(lower, upper)]
+    assert got.dtype == np.float64 and got.shape == (len(lower),)
+    # repr tells 0.0 from -0.0 and shows every bit of the mantissa
+    assert [repr(p) for p in got.tolist()] == [repr(p) for p in expected]
+    assert {p for p in expected if p == 0.0} and {p for p in expected if 0.0 < p < 1.0}
 
 
 def test_rect_probabilities_shape_validation():

@@ -633,6 +633,24 @@ def test_ledger_rows_match_their_meets_at_the_benchmark_density():
         assert screened_union(boxes, measure, STRICT).q == fsum(signed)
 
 
+@pytest.mark.parametrize("name, terms", [("dense-n44-d2.json", 8_429), ("piecewise-sweep-d3.json", None)])
+@pytest.mark.parametrize("mode", list(EmptinessMode), ids=lambda mode: mode.name)
+def test_order_probabilities_are_rect_probabilities_of_their_vertices(name, terms, mode):
+    # The walk's per-place rows of CDF values give each order's
+    # probabilities bit for bit (dtype, shape and bytes) those of
+    # rect_probabilities on the order's vertices, read from the ledger.
+    problem = parse_geometry(load_document(str(Path(__file__).parent / "golden" / name)))
+    ledger = enumerate_tuples(problem.boxes, mode, len(problem.boxes), problem.measure)
+    if terms is not None and mode is STRICT:
+        assert ledger.term_count() == terms
+    assert len(ledger.levels) >= 3
+    for level in ledger.levels.values():
+        want = problem.measure.rect_probabilities(level.lower, level.upper)
+        assert level.probability.dtype == want.dtype == np.float64
+        assert level.probability.shape == want.shape == (len(level),)
+        assert level.probability.tobytes() == want.tobytes()
+
+
 # Every finite double up to 2**1000, subnormals included; values spread
 # over the whole exponent range; and edge values: signed zeros, the
 # smallest subnormal, the smallest normal and the largest double below 1.
